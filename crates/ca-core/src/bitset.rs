@@ -191,9 +191,23 @@ impl BitSet {
     }
 
     /// Returns whether the set contains all of `0..capacity`.
+    ///
+    /// Compares words against all-ones and stops at the first gap instead
+    /// of popcounting every word (`count_ones` is a software loop on
+    /// targets built without `popcnt`).
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.len() == self.capacity
+        let words = self.words();
+        let Some((&last, body)) = words.split_last() else {
+            return true;
+        };
+        let tail = self.capacity % 64;
+        let last_full = if tail == 0 {
+            u64::MAX
+        } else {
+            u64::MAX >> (64 - tail)
+        };
+        last == last_full && body.iter().all(|&w| w == u64::MAX)
     }
 
     /// Removes all elements.
@@ -394,6 +408,31 @@ mod tests {
     fn iter_crosses_block_boundaries() {
         let s = BitSet::from_iter_with_capacity(200, [0, 63, 64, 127, 128, 199]);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 127, 128, 199]);
+    }
+
+    #[test]
+    fn is_full_at_word_boundaries() {
+        for capacity in [0, 1, 63, 64, 65, 1000] {
+            let mut s = BitSet::full(capacity);
+            assert!(s.is_full(), "full({capacity})");
+            if capacity == 0 {
+                continue;
+            }
+            // Punch a hole in the first word, the last word and (when there
+            // is one) a middle word: each must be caught.
+            for x in [0, capacity / 2, capacity - 1] {
+                s.remove(x);
+                assert!(!s.is_full(), "capacity {capacity} missing {x}");
+                s.insert(x);
+                assert!(s.is_full(), "capacity {capacity} refilled {x}");
+            }
+            let mut grow = BitSet::new(capacity);
+            for x in 0..capacity {
+                assert!(!grow.is_full(), "capacity {capacity} at {x} elements");
+                grow.insert(x);
+            }
+            assert!(grow.is_full(), "capacity {capacity} filled one by one");
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * [`min_level_into`] / [`min_modified_level_into`] — a sparse
 //!   counting-automaton frontier, `O(|messages| · m/64)` per round, generic
 //!   over any [`DeliverySource`] (dense [`Run`] or edge-keyed
-//!   [`crate::run::EdgeRun`]); this is the hot path every Monte Carlo trial
-//!   rides. See DESIGN.md §11 for the frontier invariant.
+//!   [`crate::run::EdgeRun`]), pruned on edge-keyed runs to the seen-sets
+//!   that can still complete a level; this is the hot path every Monte
+//!   Carlo trial rides. See DESIGN.md §11 for the frontier invariant.
 //! * [`levels`] / [`modified_levels`] — an `O(m²·N)` "gossip" dynamic program
 //!   that mirrors how the levels actually propagate, building the full
 //!   per-round table; the dense min-level variant survives as the
@@ -45,9 +46,43 @@
 //!
 //! The paper's Lemmas 6.1 and 6.2 (`L_i - 1 ≤ ML_i ≤ L_i`,
 //! `|ML_i - ML_j| ≤ 1`) are asserted in this module's tests and again as
-//! property tests.
+//! property tests; the frontier also `debug_assert!`s Lemma 6.2 on every
+//! modified-level result.
+//!
+//! # Why pruning the frontier keeps it exact
+//!
+//! A seen-set only matters while it can still help some process *complete*
+//! its level (bump `count` when `seen` fills up). Two facts bound when that
+//! can happen, so the frontier drops every other seen-set:
+//!
+//! * **Monotonicity.** Deleting messages or inputs never raises any `L_i`
+//!   or `ML_i`. An edge-keyed run is a subset of the good run on its edge
+//!   support, so the good-run counts `g_j` bound its counts: only the
+//!   processes in `C_{c+1} = {j : g_j ≥ c + 1}` can ever complete level
+//!   `c`.
+//! * **Information moves at most one hop per round.** Process `k`'s state at
+//!   the end of round `r` reaches `j` no earlier than the end of round
+//!   `r + dist(k, j)`. So `k`'s level-`c` seen-set can take part in a
+//!   completion only while `r ≤ D_c(k) = N − dist(k, C_{c+1})`, the
+//!   deadline cone.
+//!
+//! The deadline can only shrink along a message (`D_c(i) ≥ D_c(j) − 1` for
+//! every edge `i → j`), so a receiver whose seen-set is live only ever
+//! merges senders whose seen-sets are live and exact. A process past its
+//! deadline never completes: completing would put it in `C_{c+1}`, whose
+//! deadline is `N`. The frontier therefore keeps counts, flags and count
+//! adoption exact and skips only the rest: senders below the receiver's
+//! count, equal-count messages past the receiver's deadline, and count-0
+//! messages that bring no new flag. `LevelScratch` caches the plan — `g_j`
+//! from one unpruned pass over the good run, then one reverse-edge BFS per
+//! level — keyed exactly on `(m, N, edge list, measure)` and built on the
+//! first call for that support.
+//!
+//! A dense [`Run`] gets no plan: it fixes no edge support, so it has no
+//! good run to bound it, and building the bound from its own messages would
+//! cost a full unpruned pass on every call. It runs the same loop with every
+//! deadline at infinity.
 
-use crate::bitset::BitSet;
 use crate::error::CaError;
 use crate::flow::FlowGraph;
 use crate::ids::{ProcessId, Round};
@@ -169,7 +204,9 @@ fn ensure_two_processes(run: &Run) -> Result<(), CaError> {
 ///
 /// The Monte Carlo engine asks for one number per trial — `min_i L_i(R)` —
 /// millions of times; a scratch threaded through the loop keeps the gossip
-/// working vectors alive across trials instead of reallocating them.
+/// working vectors alive across trials instead of reallocating them. For an
+/// edge-keyed run it also caches the prune plan of the run's edge support
+/// (see the module docs), built on the first call for that support.
 #[derive(Debug, Default)]
 pub struct LevelScratch {
     // --- dense-oracle buffers (the legacy `O(m²)` DP behind
@@ -181,19 +218,47 @@ pub struct LevelScratch {
     snap_heard: Vec<u32>,
     snap_valid: Vec<bool>,
     snap_leader: Vec<bool>,
-    // --- sparse frontier buffers (the counting-automaton hot path) ---
+    /// The sparse frontier's buffers (the counting-automaton hot path).
+    frontier: Frontier,
+    /// The prune plan of the last edge support the frontier ran on.
+    plan: Option<FrontierPlan>,
+}
+
+impl LevelScratch {
+    /// An empty scratch; buffers grow on first use and are reused after.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Buffers of the sparse counting-automaton frontier. Seen-sets are rows of
+/// `words = ⌈m/64⌉` words in flat buffers: row `j` is
+/// `seen[j * words..(j + 1) * words]`.
+#[derive(Debug, Default)]
+struct Frontier {
     /// `count[j]`: `j`'s current level (`heard[j][j]` in the dense view).
     count: Vec<u32>,
-    /// `seen[j]`: processes `j` knows to be at `count[j]` (capacity `m`).
-    seen: Vec<BitSet>,
+    /// Row `j`: processes `j` knows to be at `count[j]`. Only rows the
+    /// plan keeps live are maintained; the rest hold stale bits no live
+    /// row ever reads.
+    seen: Vec<u64>,
     /// Has the input flowed to `j`?
-    fvalid: Vec<bool>,
-    /// Has the leader's round-0 state flowed to `j`?
-    ftoken: Vec<bool>,
+    valid: Vec<bool>,
+    /// Has the leader's round-0 state flowed to `j`? Set everywhere for the
+    /// plain level, whose base case ignores it.
+    token: Vec<bool>,
+    /// Message filter over end-of-previous-round state (see
+    /// [`filter_entry`]): a message `i → j` can move `j` only if
+    /// `key[i] >= need[j]`, where `need[j]` is `need_live[j]`, plus one
+    /// once the round passes `j`'s current-level deadline `dline[j]`.
+    key: Vec<u32>,
+    need: Vec<u32>,
+    need_live: Vec<u32>,
+    dline: Vec<u32>,
     /// Per-receiver round accumulators: highest sender count received …
     rx_high: Vec<u32>,
-    /// … union of the seen-sets of senders at that highest count …
-    rx_seen: Vec<BitSet>,
+    /// … union of the seen-rows of senders at that highest count …
+    rx_seen: Vec<u64>,
     /// … and the validity / leader-state bits that flowed in.
     rx_valid: Vec<bool>,
     rx_token: Vec<bool>,
@@ -203,14 +268,170 @@ pub struct LevelScratch {
     stamp_cur: u32,
     /// Receivers touched this round, in first-message order.
     touch: Vec<u32>,
-    /// `m` the frontier buffers are currently sized for.
-    cap: usize,
+    /// `m` the buffers are currently sized for, and words per seen-row.
+    m: usize,
+    words: usize,
 }
 
-impl LevelScratch {
-    /// An empty scratch; buffers grow on first use and are reused after.
-    pub fn new() -> Self {
-        Self::default()
+/// The prune plan of one edge support: per level `c`, the last round
+/// `D_c(k)` at which process `k`'s level-`c` seen-set can still flow to a
+/// process able to complete level `c` (see the module docs). Keyed on the
+/// exact `(m, N, edges, modified)` it was built for.
+#[derive(Debug)]
+struct FrontierPlan {
+    m: usize,
+    n: u32,
+    modified: bool,
+    edges: Vec<(ProcessId, ProcessId)>,
+    /// `deadline[(c - 1) * m + k] = D_c(k)` for the levels `c` some process
+    /// completes in the good run; past the table no process completes, so
+    /// every deadline there is 0.
+    deadline: Vec<u32>,
+}
+
+/// A borrowed view of the deadlines one frontier pass prunes by.
+#[derive(Clone, Copy)]
+struct Deadlines<'a> {
+    /// `table[(c - 1) * m + k] = D_c(k)`, as in [`FrontierPlan`].
+    table: &'a [u32],
+    m: usize,
+    /// The deadline of every level past the table (all levels when it is
+    /// empty).
+    beyond: u32,
+}
+
+impl Deadlines<'_> {
+    /// No plan: every seen-set stays live (dense runs, and the good-run pass
+    /// a plan is built from).
+    const UNPRUNED: Deadlines<'static> = Deadlines {
+        table: &[],
+        m: 0,
+        beyond: u32::MAX,
+    };
+
+    /// `D_c(k)`: the last round at whose end `k`'s level-`c` seen-set
+    /// (`c ≥ 1`) is still needed.
+    #[inline]
+    fn deadline(self, c: u32, k: usize) -> u32 {
+        let idx = (c as usize - 1) * self.m + k;
+        self.table.get(idx).copied().unwrap_or(self.beyond)
+    }
+
+    /// Is `k`'s level-`c` seen-set still needed at the end of round `r`?
+    #[inline]
+    fn live(self, c: u32, k: usize, r: u32) -> bool {
+        r <= self.deadline(c, k)
+    }
+}
+
+/// The good run over a fixed edge support: every input arrives and every
+/// edge delivers in every round — by monotonicity, an upper bound on the
+/// levels of every run over that support.
+struct GoodRun<'a> {
+    m: usize,
+    n: u32,
+    edges: &'a [(ProcessId, ProcessId)],
+}
+
+impl DeliverySource for GoodRun<'_> {
+    fn process_count(&self) -> usize {
+        self.m
+    }
+
+    fn horizon(&self) -> u32 {
+        self.n
+    }
+
+    fn has_input(&self, _: ProcessId) -> bool {
+        true
+    }
+
+    fn for_each_delivery_in_round(&self, _: Round, mut f: impl FnMut(ProcessId, ProcessId)) {
+        for &(from, to) in self.edges {
+            f(from, to);
+        }
+    }
+}
+
+impl FrontierPlan {
+    fn fits(&self, m: usize, n: u32, edges: &[(ProcessId, ProcessId)], modified: bool) -> bool {
+        self.m == m && self.n == n && self.modified == modified && self.edges == edges
+    }
+
+    /// Runs the unpruned frontier over the good run for the counts `g_j`,
+    /// then, per level `c`, a BFS over reversed edges from
+    /// `C_{c+1} = {j : g_j ≥ c + 1}` gives `D_c(k) = N − dist(k, C_{c+1})`
+    /// (0 when `C_{c+1}` is out of reach within `N` hops).
+    fn build(
+        m: usize,
+        n: u32,
+        edges: &[(ProcessId, ProcessId)],
+        modified: bool,
+        frontier: &mut Frontier,
+    ) -> Self {
+        frontier.pass(&GoodRun { m, n, edges }, modified, Deadlines::UNPRUNED);
+        let good = &frontier.count[..m];
+        // In-edges as CSR, so the BFS can walk every edge backwards.
+        let mut start = vec![0usize; m + 1];
+        for &(_, to) in edges {
+            start[to.index() + 1] += 1;
+        }
+        for k in 0..m {
+            start[k + 1] += start[k];
+        }
+        let mut next = start.clone();
+        let mut preds = vec![0u32; edges.len()];
+        for &(from, to) in edges {
+            preds[next[to.index()]] = from.as_u32();
+            next[to.index()] += 1;
+        }
+        let rows = good.iter().max().map_or(0, |&top| top.saturating_sub(1));
+        let mut deadline = vec![0u32; rows as usize * m];
+        let mut dist = vec![u32::MAX; m];
+        let mut queue = Vec::with_capacity(m);
+        for (c, row) in (1..=rows).zip(deadline.chunks_exact_mut(m)) {
+            dist.fill(u32::MAX);
+            queue.clear();
+            for (j, &g) in good.iter().enumerate() {
+                if g > c {
+                    dist[j] = 0;
+                    queue.push(j);
+                }
+            }
+            let mut head = 0;
+            while head < queue.len() {
+                let j = queue[head];
+                head += 1;
+                let d = dist[j] + 1;
+                if d > n {
+                    continue;
+                }
+                for &i in &preds[start[j]..start[j + 1]] {
+                    if dist[i as usize] == u32::MAX {
+                        dist[i as usize] = d;
+                        queue.push(i as usize);
+                    }
+                }
+            }
+            for (dl, &d) in row.iter_mut().zip(&dist) {
+                *dl = n.saturating_sub(d);
+            }
+        }
+        FrontierPlan {
+            m,
+            n,
+            modified,
+            edges: edges.to_vec(),
+            deadline,
+        }
+    }
+
+    fn deadlines(&self) -> Deadlines<'_> {
+        Deadlines {
+            table: &self.deadline,
+            m: self.m,
+            beyond: 0,
+        }
     }
 }
 
@@ -273,11 +494,9 @@ pub fn modified_level_extremes_into<D: DeliverySource + ?Sized>(
 }
 
 /// The sparse counting-automaton frontier (see the module docs for why it is
-/// exactly the gossip DP): each process carries `(count, seen)`; a round
-/// sweeps delivered messages into per-receiver accumulators reading only
-/// previous-round sender state, then finalizes the touched receivers —
-/// adopt a higher count outright, union seen-sets at an equal count, and bump
-/// `count` (at most once) when `seen` covers all `m` processes.
+/// exactly the gossip DP, and why the prune keeps it exact). An edge-keyed
+/// run is pruned by its support's plan, built into the scratch on first
+/// use; a dense [`Run`] fixes no support and runs unpruned.
 fn frontier_extremes<D: DeliverySource + ?Sized>(
     run: &D,
     modified: bool,
@@ -286,112 +505,244 @@ fn frontier_extremes<D: DeliverySource + ?Sized>(
     let m = run.process_count();
     let n = run.horizon();
     assert!(m >= 2, "levels are defined for m >= 2 (paper's model)");
-
-    if s.cap != m {
-        s.cap = m;
-        s.count = vec![0; m];
-        s.seen = (0..m).map(|_| BitSet::new(m)).collect();
-        s.rx_seen = (0..m).map(|_| BitSet::new(m)).collect();
-        s.fvalid = vec![false; m];
-        s.ftoken = vec![false; m];
-        s.rx_high = vec![0; m];
-        s.rx_valid = vec![false; m];
-        s.rx_token = vec![false; m];
-        s.stamp = vec![0; m];
-        s.stamp_cur = 0;
-        s.touch = Vec::with_capacity(m);
-    }
-
-    let base_holds = |valid: bool, token: bool| -> bool {
-        if modified {
-            valid && token
-        } else {
-            valid
+    let deadlines = match run.edge_support() {
+        Some(edges) => {
+            if !s
+                .plan
+                .as_ref()
+                .is_some_and(|p| p.fits(m, n, edges, modified))
+            {
+                s.plan = Some(FrontierPlan::build(m, n, edges, modified, &mut s.frontier));
+            }
+            s.plan.as_ref().expect("plan built above").deadlines()
         }
+        None => Deadlines::UNPRUNED,
     };
-
-    // Round 0: inputs arrive; the leader holds its own round-0 state.
-    for j in 0..m {
-        s.fvalid[j] = run.has_input(ProcessId::new(j as u32));
-        s.ftoken[j] = j == ProcessId::LEADER.index();
-        s.seen[j].clear();
-        if base_holds(s.fvalid[j], s.ftoken[j]) {
-            s.count[j] = 1;
-            s.seen[j].insert(j);
-        } else {
-            s.count[j] = 0;
-        }
-    }
-
-    for r in Round::protocol_rounds(n) {
-        // Lazy accumulator reset: a fresh stamp invalidates every receiver's
-        // accumulators at once. On wrap, hard-reset the stamps.
-        s.stamp_cur = s.stamp_cur.wrapping_add(1);
-        if s.stamp_cur == 0 {
-            s.stamp.iter_mut().for_each(|t| *t = 0);
-            s.stamp_cur = 1;
-        }
-        let cur = s.stamp_cur;
-        s.touch.clear();
-        // Sweep: senders' states are still end-of-previous-round values
-        // (writes happen only in the finalize pass), so no snapshot copies
-        // are needed.
-        run.for_each_delivery_in_round(r, |from, to| {
-            let (i, j) = (from.index(), to.index());
-            if s.stamp[j] != cur {
-                s.stamp[j] = cur;
-                s.touch.push(j as u32);
-                s.rx_valid[j] = false;
-                s.rx_token[j] = false;
-                s.rx_high[j] = 0;
-            }
-            s.rx_valid[j] |= s.fvalid[i];
-            s.rx_token[j] |= s.ftoken[i];
-            let ci = s.count[i];
-            if ci > s.rx_high[j] {
-                s.rx_high[j] = ci;
-                s.rx_seen[j].clear();
-                s.rx_seen[j].union_with(&s.seen[i]);
-            } else if ci == s.rx_high[j] && ci > 0 {
-                s.rx_seen[j].union_with(&s.seen[i]);
-            }
-        });
-        // Finalize the touched receivers (untouched state cannot change:
-        // levels only move when a message arrives — Lemma 5.1).
-        for idx in 0..s.touch.len() {
-            let j = s.touch[idx] as usize;
-            s.fvalid[j] |= s.rx_valid[j];
-            s.ftoken[j] |= s.rx_token[j];
-            if s.count[j] == 0 && base_holds(s.fvalid[j], s.ftoken[j]) {
-                s.count[j] = 1;
-                s.seen[j].clear();
-                s.seen[j].insert(j);
-            }
-            if s.count[j] >= 1 && s.rx_high[j] >= s.count[j] {
-                if s.rx_high[j] > s.count[j] {
-                    s.count[j] = s.rx_high[j];
-                    s.seen[j].clear();
-                    s.seen[j].union_with(&s.rx_seen[j]);
-                    s.seen[j].insert(j);
-                } else {
-                    s.seen[j].union_with(&s.rx_seen[j]);
-                }
-                if s.seen[j].is_full() {
-                    s.count[j] += 1;
-                    s.seen[j].clear();
-                    s.seen[j].insert(j);
-                }
-            }
-        }
-    }
-
-    let mut lo = u32::MAX;
-    let mut hi = 0;
-    for &c in &s.count[..m] {
-        lo = lo.min(c);
-        hi = hi.max(c);
-    }
+    let (lo, hi) = s.frontier.pass(run, modified, deadlines);
+    debug_assert!(
+        !modified || hi <= lo + 1,
+        "Lemma 6.2 violated: ML extremes ({lo}, {hi})"
+    );
     (lo, hi)
+}
+
+/// A process's message-filter entries `(key, need while live, deadline)`
+/// from its count and flags. The key ranks it as a sender: `c + 1` at
+/// count `c ≥ 1`; at count 0, 1 if it holds only the token, else 0. The
+/// need is the lowest sender key that can still move it: at count `c ≥ 1`,
+/// `c + 1` (an equal count merges seen-sets) until the round passes the
+/// deadline `D_c`, then `c + 2` (only a higher count moves it); at count 0,
+/// 1 if it lacks only the token (a token-less count-0 sender adds nothing),
+/// else 0 (the exact flag test decides).
+#[inline]
+fn filter_entry(c: u32, valid: bool, token: bool, dl: Deadlines<'_>, j: usize) -> (u32, u32, u32) {
+    if c == 0 {
+        (
+            u32::from(token && !valid),
+            u32::from(valid && !token),
+            u32::MAX,
+        )
+    } else {
+        (c + 1, c + 1, dl.deadline(c, j))
+    }
+}
+
+/// Row `j` of a flat seen-set buffer with `w` words per row.
+#[inline]
+fn row(buf: &[u64], j: usize, w: usize) -> &[u64] {
+    &buf[j * w..(j + 1) * w]
+}
+
+#[inline]
+fn row_mut(buf: &mut [u64], j: usize, w: usize) -> &mut [u64] {
+    &mut buf[j * w..(j + 1) * w]
+}
+
+/// Sets a row to the singleton `{j}`.
+#[inline]
+fn set_singleton(row: &mut [u64], j: usize) {
+    row.fill(0);
+    row[j / 64] |= 1 << (j % 64);
+}
+
+#[inline]
+fn union_into(dst: &mut [u64], src: &[u64]) {
+    for (a, b) in dst.iter_mut().zip(src) {
+        *a |= b;
+    }
+}
+
+impl Frontier {
+    fn resize(&mut self, m: usize) {
+        let words = m.div_ceil(64);
+        self.m = m;
+        self.words = words;
+        self.count = vec![0; m];
+        self.seen = vec![0; m * words];
+        self.rx_seen = vec![0; m * words];
+        self.valid = vec![false; m];
+        self.token = vec![false; m];
+        self.key = vec![0; m];
+        self.need = vec![0; m];
+        self.need_live = vec![0; m];
+        self.dline = vec![0; m];
+        self.rx_high = vec![0; m];
+        self.rx_valid = vec![false; m];
+        self.rx_token = vec![false; m];
+        self.stamp = vec![0; m];
+        self.stamp_cur = 0;
+        self.touch = Vec::with_capacity(m);
+    }
+
+    /// One frontier pass: each process carries `(count, seen)`; a round
+    /// sweeps delivered messages into per-receiver accumulators reading only
+    /// previous-round sender state, then finalizes the touched receivers —
+    /// adopt a higher count outright, union seen-sets at an equal count, and
+    /// bump `count` (at most once) when `seen` covers all `m` processes.
+    /// Seen-sets past their deadline are neither merged nor tested; counts,
+    /// flags and adoption stay exact. Returns the final count extremes.
+    fn pass<D: DeliverySource + ?Sized>(
+        &mut self,
+        run: &D,
+        modified: bool,
+        dl: Deadlines<'_>,
+    ) -> (u32, u32) {
+        let m = run.process_count();
+        if self.m != m {
+            self.resize(m);
+        }
+        let Frontier {
+            count,
+            seen,
+            valid,
+            token,
+            key,
+            need,
+            need_live,
+            dline,
+            rx_high,
+            rx_seen,
+            rx_valid,
+            rx_token,
+            stamp,
+            stamp_cur,
+            touch,
+            words: w,
+            ..
+        } = self;
+        let w = *w;
+        let full_tail = match m % 64 {
+            0 => u64::MAX,
+            tail => u64::MAX >> (64 - tail),
+        };
+
+        // Round 0: inputs arrive; the leader holds its own round-0 state.
+        for j in 0..m {
+            valid[j] = run.has_input(ProcessId::new(j as u32));
+            token[j] = !modified || j == ProcessId::LEADER.index();
+            count[j] = 0;
+            if valid[j] && token[j] {
+                count[j] = 1;
+                set_singleton(row_mut(seen, j, w), j);
+            }
+            (key[j], need_live[j], dline[j]) = filter_entry(count[j], valid[j], token[j], dl, j);
+        }
+
+        for r in Round::protocol_rounds(run.horizon()) {
+            let rr = r.get();
+            // Lazy accumulator reset: a fresh stamp invalidates every
+            // receiver's accumulators at once. On wrap, hard-reset the stamps.
+            *stamp_cur = stamp_cur.wrapping_add(1);
+            if *stamp_cur == 0 {
+                stamp.iter_mut().for_each(|t| *t = 0);
+                *stamp_cur = 1;
+            }
+            let cur = *stamp_cur;
+            touch.clear();
+            for ((nd, &live), &d) in need.iter_mut().zip(&*need_live).zip(&*dline) {
+                *nd = live + u32::from(rr > d);
+            }
+            // Sweep: senders' states are still end-of-previous-round values
+            // (writes happen only in the finalize pass), so no snapshot copies
+            // are needed.
+            run.for_each_delivery_in_round(r, |from, to| {
+                let (i, j) = (from.index(), to.index());
+                // Filtered out: a lower count (a receiver at count ≥ 1
+                // already holds both flags), an equal count past the
+                // receiver's deadline, or a token-less count-0 sender to a
+                // receiver missing only the token.
+                if key[i] < need[j] {
+                    return;
+                }
+                let ci = count[i];
+                // Count 0 on both ends: only the flags can move.
+                if ci == 0 && (valid[j] || !valid[i]) && (token[j] || !token[i]) {
+                    return;
+                }
+                if stamp[j] != cur {
+                    stamp[j] = cur;
+                    touch.push(j as u32);
+                    rx_valid[j] = false;
+                    rx_token[j] = false;
+                    rx_high[j] = 0;
+                }
+                rx_valid[j] |= valid[i];
+                rx_token[j] |= token[i];
+                if ci > rx_high[j] {
+                    rx_high[j] = ci;
+                    if dl.live(ci, j, rr) {
+                        row_mut(rx_seen, j, w).copy_from_slice(row(seen, i, w));
+                    }
+                } else if ci == rx_high[j] && ci > 0 && dl.live(ci, j, rr) {
+                    union_into(row_mut(rx_seen, j, w), row(seen, i, w));
+                }
+            });
+            // Finalize the touched receivers (untouched state cannot change:
+            // levels only move when a message arrives — Lemma 5.1).
+            for &j in touch.iter() {
+                let j = j as usize;
+                valid[j] |= rx_valid[j];
+                token[j] |= rx_token[j];
+                let mut c = count[j];
+                if c == 0 && valid[j] && token[j] {
+                    c = 1;
+                    set_singleton(row_mut(seen, j, w), j);
+                }
+                let high = rx_high[j];
+                if c >= 1 && high >= c {
+                    let live = dl.live(high, j, rr);
+                    let own = row_mut(seen, j, w);
+                    if high > c {
+                        c = high;
+                        if live {
+                            own.copy_from_slice(row(rx_seen, j, w));
+                            own[j / 64] |= 1 << (j % 64);
+                        }
+                    } else if live {
+                        union_into(own, row(rx_seen, j, w));
+                    }
+                    let full = live && {
+                        let (&last, body) = own.split_last().expect("m >= 2");
+                        last == full_tail && body.iter().all(|&x| x == u64::MAX)
+                    };
+                    if full {
+                        c += 1;
+                        set_singleton(own, j);
+                    }
+                }
+                count[j] = c;
+                (key[j], need_live[j], dline[j]) = filter_entry(c, valid[j], token[j], dl, j);
+            }
+        }
+
+        let mut lo = u32::MAX;
+        let mut hi = 0;
+        for &c in &count[..m] {
+            lo = lo.min(c);
+            hi = hi.max(c);
+        }
+        (lo, hi)
+    }
 }
 
 /// The dense `O(m²)` gossip DP on flat scratch buffers, kept as the
@@ -978,6 +1329,56 @@ mod tests {
                 level_extremes_into(&dense, &mut scratch),
                 "EdgeRun vs Run L mismatch in {dense:?}"
             );
+        }
+    }
+
+    #[test]
+    fn prune_plan_is_keyed_on_the_exact_support() {
+        // One scratch walks through supports that differ in one key at a
+        // time — the edge set at equal (m, N), the horizon at equal edges,
+        // the measure at an equal support — ordered so that a stale plan
+        // would prune by too early deadlines. Every answer, and the dense
+        // run's in between, must match the level tables.
+        use crate::run::EdgeRun;
+        let mut rng = StdRng::seed_from_u64(4321);
+        let mut scratch = LevelScratch::new();
+        let graphs = [Graph::line(7).unwrap(), Graph::ring(7).unwrap()];
+        let mut check = |g: usize, n: u32, modified: bool| {
+            for _ in 0..4 {
+                let mut er = EdgeRun::good(&graphs[g], n);
+                for e in 0..er.directed_edge_count() {
+                    for rr in 1..=n {
+                        if rng.gen_bool(0.1) {
+                            er.destroy(e, r(rr));
+                        }
+                    }
+                }
+                let dense = er.to_run();
+                let table = if modified {
+                    modified_levels(&dense)
+                } else {
+                    levels(&dense)
+                };
+                let want = (table.min_level(), table.max_level());
+                for got in [
+                    frontier_extremes(&er, modified, &mut scratch),
+                    frontier_extremes(&dense, modified, &mut scratch),
+                ] {
+                    assert_eq!(got, want, "modified={modified} in {dense:?}");
+                }
+            }
+        };
+        let by_horizon = (2..=9u32).flat_map(|n| [(0, n), (1, n)]);
+        let by_graph = (0..2).flat_map(|g| (2..=9u32).map(move |n| (g, n)));
+        let supports: Vec<_> = by_horizon.chain(by_graph).collect();
+        for modified in [true, false] {
+            for &(g, n) in &supports {
+                check(g, n, modified);
+            }
+        }
+        for &(g, n) in &supports {
+            check(g, n, true);
+            check(g, n, false);
         }
     }
 

@@ -600,6 +600,13 @@ pub trait DeliverySource {
     /// Calls `f(from, to)` for every delivered message of `round` in
     /// canonical `(from, to)` order.
     fn for_each_delivery_in_round(&self, round: Round, f: impl FnMut(ProcessId, ProcessId));
+    /// The directed edges every delivery is drawn from, sorted by
+    /// `(from, to)`, when the representation fixes them up front. The level
+    /// frontier keys its per-support prune plan on this; `None` (the
+    /// default, and the dense [`Run`]'s answer) runs it unpruned.
+    fn edge_support(&self) -> Option<&[(ProcessId, ProcessId)]> {
+        None
+    }
 }
 
 impl DeliverySource for Run {
@@ -812,6 +819,10 @@ impl DeliverySource for EdgeRun {
                 f(from, to);
             }
         }
+    }
+
+    fn edge_support(&self) -> Option<&[(ProcessId, ProcessId)]> {
+        Some(&self.edges)
     }
 }
 
@@ -1163,6 +1174,9 @@ mod tests {
         assert_eq!(DeliverySource::horizon(&run), 2);
         assert!(DeliverySource::has_input(&run, p(0)));
         assert!(!DeliverySource::has_input(&run, p(1)));
+        assert!(run.edge_support().is_none(), "a dense run fixes no support");
+        let er = EdgeRun::good(&g, 2);
+        assert_eq!(er.edge_support(), Some(er.directed_edges()));
         let mut pairs = Vec::new();
         run.for_each_delivery_in_round(r(1), |a, b| pairs.push((a, b)));
         assert_eq!(pairs.len(), run.messages_in_round(r(1)).count());

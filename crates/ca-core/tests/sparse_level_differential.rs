@@ -6,15 +6,22 @@
 //! production callers go through [`ca_core::level::level_extremes_into`] and
 //! friends, which run the `(count, seen)` frontier. See the `ca_core::level`
 //! module docs and DESIGN.md §11 for why the compression is exact.
+//!
+//! At m ≥ 1000, where the dense DP cannot run, the oracles are metamorphic:
+//! levels are monotone in the run (the property the frontier's prune rests
+//! on), the pruned edge-keyed frontier equals the unpruned one on the dense
+//! expansion, and Lemma 6.1 relates the `L` and `ML` extremes.
 
 use ca_core::graph::{generators, Graph};
-use ca_core::ids::ProcessId;
+use ca_core::ids::{ProcessId, Round};
 use ca_core::level::{
     dense_min_level_into, level_extremes_into, levels, min_level_into, min_modified_level_into,
     modified_level_extremes_into, modified_levels, LevelScratch,
 };
 use ca_core::run::EdgeRun;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a connected graph from the classic zoo or the generated
 /// families (random-regular, Watts–Strogatz, Barabási–Albert), 2..=24
@@ -60,15 +67,94 @@ fn edge_run_strategy(n: u32) -> impl Strategy<Value = EdgeRun> {
                 let edges = er.directed_edge_count();
                 for (slot, kill) in kill.iter().enumerate() {
                     if *kill {
-                        er.destroy(
-                            slot % edges,
-                            ca_core::ids::Round::new(1 + (slot / edges) as u32),
-                        );
+                        er.destroy(slot % edges, Round::new(1 + (slot / edges) as u32));
                     }
                 }
                 er
             })
     })
+}
+
+/// A big generated graph (Watts–Strogatz or Barabási–Albert, m in
+/// 1000..=2048) with a lossy [`EdgeRun`] over horizon `diameter + slack`,
+/// drawn from `seed`.
+fn big_lossy_run(scale_free: bool, m: usize, slack: u32, seed: u64) -> EdgeRun {
+    let g = if scale_free {
+        generators::barabasi_albert(m, 3, seed).expect("ba graph")
+    } else {
+        generators::watts_strogatz(m, 6, 0.1, seed).expect("ws graph")
+    };
+    let n = g.diameter().expect("generated graphs are connected") + slack;
+    let mut er = EdgeRun::good(&g, n);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let loss = [0.0, 0.05, 0.2][rng.gen_range(0..3usize)];
+    thin(&mut er, loss, &mut rng);
+    for _ in 0..rng.gen_range(0..4usize) {
+        er.remove_input(ProcessId::new(rng.gen_range(0..m as u32)));
+    }
+    er
+}
+
+/// Destroys each still-delivered message of `er` with probability `p`.
+fn thin(er: &mut EdgeRun, p: f64, rng: &mut StdRng) {
+    for e in 0..er.directed_edge_count() {
+        for r in Round::protocol_rounds(er.horizon()) {
+            if er.delivers_edge(e, r) && rng.gen_bool(p) {
+                er.destroy(e, r);
+            }
+        }
+    }
+}
+
+/// `(L, ML)` extremes of `er` through the pruned frontier, checked against
+/// the unpruned frontier on the dense expansion (a dense run carries no
+/// plan) and against Lemma 6.1 (`L − 1 ≤ ML ≤ L`) at both extremes.
+fn checked_extremes(er: &EdgeRun, scratch: &mut LevelScratch) -> ((u32, u32), (u32, u32)) {
+    let l = level_extremes_into(er, scratch);
+    let ml = modified_level_extremes_into(er, scratch);
+    let dense = er.to_run();
+    assert_eq!(l, level_extremes_into(&dense, scratch), "pruned L");
+    assert_eq!(
+        ml,
+        modified_level_extremes_into(&dense, scratch),
+        "pruned ML"
+    );
+    for (lv, mlv) in [(l.0, ml.0), (l.1, ml.1)] {
+        assert!(mlv <= lv && lv <= mlv + 1, "Lemma 6.1: L {l:?}, ML {ml:?}");
+    }
+    (l, ml)
+}
+
+proptest! {
+    // Each case builds an m ≥ 1000 graph and runs the frontier eight times
+    // in an unoptimized test build, so the case count stays small.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Destroying further deliveries never raises the min or max of `L` or
+    /// `ML` — the monotonicity the frontier's prune plan rests on — and the
+    /// pruned frontier agrees with the unpruned one on both runs.
+    #[test]
+    fn big_graph_levels_are_monotone_under_thinning(
+        scale_free in any::<bool>(),
+        m in 1000usize..=2048,
+        slack in 0u32..=6,
+        seed in any::<u64>(),
+    ) {
+        let base = big_lossy_run(scale_free, m, slack, seed);
+        let mut thinned = base.clone();
+        let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
+        let p = [0.02, 0.1, 0.4][rng.gen_range(0..3usize)];
+        thin(&mut thinned, p, &mut rng);
+        let mut scratch = LevelScratch::new();
+        let (l, ml) = checked_extremes(&base, &mut scratch);
+        let (tl, tml) = checked_extremes(&thinned, &mut scratch);
+        for (after, before) in [(tl, l), (tml, ml)] {
+            prop_assert!(
+                after.0 <= before.0 && after.1 <= before.1,
+                "thinning raised the extremes: {before:?} -> {after:?} (m {m}, seed {seed})"
+            );
+        }
+    }
 }
 
 proptest! {

@@ -30,6 +30,7 @@ use ca_core::ids::Round;
 use ca_core::run::{EdgeRun, MsgSlot, Run};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A per-link message-loss model: the serializable recipe for one weak
 /// adversary (embedded in sweep configs and reports).
@@ -132,8 +133,10 @@ impl LossModel {
 /// (edge-keyed path, used by the `ca sweep` engine at big `m`).
 #[derive(Clone, Debug)]
 pub struct WeakAdversary {
-    /// The dense good run (the `RunSampler` base).
-    base: Run,
+    /// The dense good run (the `RunSampler` base), built from `template`
+    /// on first use: the edge-keyed sweep path never reads it, and at
+    /// m = 1000 it is megabytes where the template is kilobytes.
+    base: OnceLock<Run>,
     /// The edge-keyed good run (the template `edge_template` hands out).
     template: EdgeRun,
     model: LossModel,
@@ -150,7 +153,7 @@ impl WeakAdversary {
     pub fn new(graph: &Graph, n: u32, model: LossModel) -> Self {
         model.validate();
         WeakAdversary {
-            base: Run::good(graph, n),
+            base: OnceLock::new(),
             template: EdgeRun::good(graph, n),
             model,
         }
@@ -185,6 +188,12 @@ impl WeakAdversary {
     /// The loss model.
     pub fn model(&self) -> &LossModel {
         &self.model
+    }
+
+    /// The dense good run, expanded from the edge-keyed template on first
+    /// use.
+    fn base(&self) -> &Run {
+        self.base.get_or_init(|| self.template.to_run())
     }
 
     /// A fresh edge-keyed good run sized for this adversary — the scratch
@@ -268,13 +277,13 @@ impl RunSampler for WeakAdversary {
     }
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Run {
-        let mut run = self.base.clone();
+        let mut run = self.base().clone();
         self.drop_into(&mut run, rng);
         run
     }
 
     fn sample_into<R: Rng + ?Sized>(&self, run: &mut Run, rng: &mut R) {
-        run.clone_from(&self.base);
+        run.clone_from(self.base());
         self.drop_into(run, rng);
     }
 
@@ -284,7 +293,7 @@ impl RunSampler for WeakAdversary {
         rng: &mut R,
         obs: &ca_obs::Metrics,
     ) {
-        run.clone_from(&self.base);
+        run.clone_from(self.base());
         let flipped = self.drop_into(run, rng);
         obs.inc(ca_obs::CounterId::RunSamples);
         obs.add(ca_obs::CounterId::RunSlotsFlipped, flipped);
@@ -299,7 +308,7 @@ impl RunSampler for WeakAdversary {
             // One gen_bool(p) per canonical slot of a good base — exactly the
             // IidDrop lane-mask contract.
             LossModel::Iid { p } => Some(SlicedSampler::IidDrop {
-                base: &self.base,
+                base: self.base(),
                 p,
             }),
             // The per-link Markov chain has no base-run-plus-lane-mask form;
@@ -352,6 +361,8 @@ mod tests {
         for model in [LossModel::Iid { p: 0.2 }, ge_model()] {
             let weak = WeakAdversary::new(&g, 6, model);
             let mut er = weak.edge_template();
+            assert!(weak.base.get().is_none(), "the dense base is built lazily");
+            assert_eq!(weak.base(), &Run::good(&g, 6));
             let mut run = Run::empty(1, 0);
             for seed in 0..20 {
                 weak.sample_into(&mut run, &mut StdRng::seed_from_u64(seed));
@@ -359,7 +370,7 @@ mod tests {
                 assert_eq!(er.to_run(), run, "{} seed {seed}", weak.describe());
                 assert_eq!(
                     dropped as usize,
-                    weak.base.message_count() - run.message_count(),
+                    weak.base().message_count() - run.message_count(),
                     "flip count, seed {seed}"
                 );
             }

@@ -121,6 +121,11 @@ impl ScenarioSweepConfig {
         if self.trials == 0 {
             return Err(CaError::malformed("sweep needs at least one trial"));
         }
+        // Checked here, before any worker builds a `WeakAdversary` (whose
+        // constructor panics on a bad model).
+        for model in &self.adversaries {
+            model.check()?;
+        }
         Ok(())
     }
 }
@@ -295,7 +300,8 @@ fn run_cell(
 /// # Errors
 ///
 /// Returns an error if the config is degenerate (empty axes, zero trials or
-/// firing ranges) or a topology spec fails to build.
+/// firing ranges), a loss model is invalid ([`LossModel::check`]) or a
+/// topology spec fails to build.
 pub fn run_sweep(config: &ScenarioSweepConfig) -> Result<ScenarioSweepReport, CaError> {
     config.validate()?;
     let cells: Vec<(usize, usize)> = (0..config.topologies.len())
@@ -425,6 +431,33 @@ mod tests {
         let mut c = tiny_config();
         c.t_curve = vec![0];
         assert!(run_sweep(&c).is_err());
+    }
+
+    #[test]
+    fn rejects_invalid_loss_models_with_an_error() {
+        let ge = |good_to_bad, bad_to_good| LossModel::GilbertElliott {
+            loss_good: 0.02,
+            loss_bad: 0.6,
+            good_to_bad,
+            bad_to_good,
+        };
+        for (model, reason) in [
+            (
+                LossModel::Iid { p: f64::NAN },
+                "p must be in [0,1], got NaN",
+            ),
+            (LossModel::Iid { p: 1.5 }, "p must be in [0,1], got 1.5"),
+            (ge(-0.1, 0.3), "good_to_bad must be in [0,1], got -0.1"),
+            (ge(0.0, 0.0), "at least one nonzero transition rate"),
+        ] {
+            let mut c = tiny_config();
+            c.adversaries.push(model);
+            let err = run_sweep(&c).expect_err("invalid loss model");
+            assert!(
+                matches!(err, CaError::MalformedConfig { .. }) && err.to_string().contains(reason),
+                "{model:?}: {err}"
+            );
+        }
     }
 
     #[test]

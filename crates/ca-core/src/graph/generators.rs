@@ -28,6 +28,7 @@ use crate::error::ModelError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// Retry budget for rejection loops (simplicity and connectivity): generous
 /// enough that sensible parameters never hit it, small enough that hopeless
@@ -135,27 +136,33 @@ pub fn watts_strogatz(m: usize, k: usize, beta: f64, seed: u64) -> Result<Graph,
                 edges.push(((v as u32), ((v + j) % m) as u32));
             }
         }
-        let mut g = Graph::new(m, &edges)?;
+        // The current edge set, kept in step with `edges` (`k < m`, so the
+        // lattice has no duplicate edges and a rewire never makes one):
+        // rejection checks read it, and the `Graph` is built once per
+        // attempt.
+        let mut present: HashSet<(u32, u32)> =
+            edges.iter().map(|&(a, b)| undirected(a, b)).collect();
         // Rewire pass in lattice-edge order: deterministic coin per edge.
-        for idx in 0..edges.len() {
+        for edge in edges.iter_mut() {
             if !rng.gen_bool(beta) {
                 continue;
             }
-            let (a, _) = edges[idx];
+            let (a, old) = *edge;
             // Uniform new endpoint, rejecting self-loops and existing edges.
             // Bounded retries: at k ≪ m a few draws almost always succeed;
             // giving up leaves the lattice edge in place (still a valid WS
             // sample, matching the standard "skip saturated" convention).
             for _ in 0..16 {
                 let b = rng.gen_range(0..m as u32);
-                let (pa, pb) = (crate::ids::ProcessId::new(a), crate::ids::ProcessId::new(b));
-                if b != a && !g.has_edge(pa, pb) {
-                    edges[idx] = (a, b);
-                    g = Graph::new(m, &edges)?;
+                if b != a && !present.contains(&undirected(a, b)) {
+                    present.remove(&undirected(a, old));
+                    present.insert(undirected(a, b));
+                    *edge = (a, b);
                     break;
                 }
             }
         }
+        let g = Graph::new(m, &edges)?;
         if g.is_connected() {
             return Ok(g);
         }
@@ -164,6 +171,11 @@ pub fn watts_strogatz(m: usize, k: usize, beta: f64, seed: u64) -> Result<Graph,
         name: "beta",
         reason: "no connected rewiring found; lower beta or raise k",
     })
+}
+
+/// The undirected edge `{a, b}` as an ordered pair.
+fn undirected(a: u32, b: u32) -> (u32, u32) {
+    (a.min(b), a.max(b))
 }
 
 /// A Barabási–Albert scale-free graph: starts from a complete core on
@@ -442,6 +454,101 @@ mod tests {
             lattice.diameter().unwrap()
         );
         assert_eq!(rewired, watts_strogatz(128, 4, 0.2, 3).unwrap());
+    }
+
+    /// Oracle of [`watts_strogatz`]: the same generator, rebuilding the
+    /// `Graph` after every rewire and asking it for the rejection test.
+    /// `attempts` counts connectivity attempts.
+    fn watts_strogatz_rebuild_per_rewire(
+        m: usize,
+        k: usize,
+        beta: f64,
+        seed: u64,
+        attempts: &mut usize,
+    ) -> Result<Graph, ModelError> {
+        if k < 2 || !k.is_multiple_of(2) {
+            return Err(ModelError::InvalidParameter {
+                name: "k",
+                reason: "small-world lattice degree k must be even and at least 2",
+            });
+        }
+        if k >= m {
+            return Err(ModelError::InvalidParameter {
+                name: "k",
+                reason: "small-world lattice degree k must be below m",
+            });
+        }
+        if !(0.0..=1.0).contains(&beta) {
+            return Err(ModelError::InvalidParameter {
+                name: "beta",
+                reason: "rewiring probability must be in [0, 1]",
+            });
+        }
+        check_m(m)?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..MAX_ATTEMPTS {
+            *attempts += 1;
+            let mut edges = Vec::with_capacity(m * k / 2);
+            for v in 0..m {
+                for j in 1..=k / 2 {
+                    edges.push(((v as u32), ((v + j) % m) as u32));
+                }
+            }
+            let mut g = Graph::new(m, &edges)?;
+            for idx in 0..edges.len() {
+                if !rng.gen_bool(beta) {
+                    continue;
+                }
+                let (a, _) = edges[idx];
+                for _ in 0..16 {
+                    let b = rng.gen_range(0..m as u32);
+                    let (pa, pb) = (crate::ids::ProcessId::new(a), crate::ids::ProcessId::new(b));
+                    if b != a && !g.has_edge(pa, pb) {
+                        edges[idx] = (a, b);
+                        g = Graph::new(m, &edges)?;
+                        break;
+                    }
+                }
+            }
+            if g.is_connected() {
+                return Ok(g);
+            }
+        }
+        Err(ModelError::InvalidParameter {
+            name: "beta",
+            reason: "no connected rewiring found; lower beta or raise k",
+        })
+    }
+
+    #[test]
+    fn watts_strogatz_equals_the_rebuild_per_rewire_oracle() {
+        // Invalid parameters (m = 1, odd k, k ≥ m, beta > 1) must give the
+        // same `Err`s.
+        let mut retried = false;
+        for m in [1, 5, 8, 17, 40, 96, 130] {
+            for k in [2, 3, 4, 6] {
+                for beta in [0.0, 0.1, 0.5, 1.0, 1.5] {
+                    for seed in 0..3 {
+                        let mut attempts = 0;
+                        let want =
+                            watts_strogatz_rebuild_per_rewire(m, k, beta, seed, &mut attempts);
+                        assert_eq!(
+                            watts_strogatz(m, k, beta, seed),
+                            want,
+                            "m {m} k {k} beta {beta} seed {seed}"
+                        );
+                        retried |= want.is_ok() && attempts > 1;
+                    }
+                }
+            }
+        }
+        assert!(retried, "the grid must cover a connectivity retry");
+        // The atlas's own graph, at sweep scale.
+        let mut attempts = 0;
+        assert_eq!(
+            watts_strogatz(1000, 6, 0.1, 1),
+            watts_strogatz_rebuild_per_rewire(1000, 6, 0.1, 1, &mut attempts)
+        );
     }
 
     #[test]

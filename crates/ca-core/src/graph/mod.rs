@@ -364,13 +364,55 @@ impl Graph {
     }
 
     /// The diameter (longest shortest path), or `None` if disconnected.
+    ///
+    /// Runs the BFS from 64 sources at once: bit `s` of `seen[v]` records
+    /// that source `s` of the batch has reached `v`, and each level pushes
+    /// the newly reached bits across every edge in one word operation. The
+    /// last level that reaches anything new is the batch's largest
+    /// eccentricity.
     pub fn diameter(&self) -> Option<u32> {
         let mut best = 0;
-        for v in self.vertices() {
-            let dist = self.bfs_distances(v);
-            for d in dist {
-                best = best.max(d?);
+        let mut seen = vec![0u64; self.m];
+        let mut frontier = vec![0u64; self.m];
+        let mut next = vec![0u64; self.m];
+        for first in (0..self.m).step_by(64) {
+            let batch = (self.m - first).min(64);
+            seen.fill(0);
+            frontier.fill(0);
+            for s in 0..batch {
+                seen[first + s] = 1 << s;
+                frontier[first + s] = 1 << s;
             }
+            let mut level = 0;
+            loop {
+                for (v, &bits) in frontier.iter().enumerate() {
+                    if bits != 0 {
+                        for w in &self.adj[v] {
+                            next[w.index()] |= bits;
+                        }
+                    }
+                }
+                let mut grew = false;
+                for ((f, n), s) in frontier
+                    .iter_mut()
+                    .zip(next.iter_mut())
+                    .zip(seen.iter_mut())
+                {
+                    *f = *n & !*s;
+                    *s |= *f;
+                    *n = 0;
+                    grew |= *f != 0;
+                }
+                if !grew {
+                    break;
+                }
+                level += 1;
+            }
+            let all = u64::MAX >> (64 - batch);
+            if seen.iter().any(|&s| s != all) {
+                return None;
+            }
+            best = best.max(level);
         }
         Some(best)
     }
@@ -613,5 +655,67 @@ mod tests {
         let g = Graph::balanced_tree(7, 2).unwrap();
         let depths = g.tree_depths(p(0)).unwrap();
         assert_eq!(depths, vec![0, 1, 1, 2, 2, 2, 2]);
+    }
+
+    /// Oracle: the largest distance over one BFS per vertex.
+    fn diameter_by_bfs(g: &Graph) -> Option<u32> {
+        let mut best = 0;
+        for v in g.vertices() {
+            for d in g.bfs_distances(v) {
+                best = best.max(d?);
+            }
+        }
+        Some(best)
+    }
+
+    /// Strategy: `m` in 2..=300, never a multiple of 64, and a random graph
+    /// on it — a random spanning tree plus chords (connected), or sparse
+    /// random edges (usually disconnected).
+    fn any_graph() -> impl proptest::prelude::Strategy<Value = Graph> {
+        use proptest::prelude::*;
+        (2usize..=300, any::<bool>(), 0usize..400, any::<u64>()).prop_map(
+            |(m, tree, extra, seed)| {
+                let m = if m.is_multiple_of(64) { m - 1 } else { m };
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut edges = Vec::new();
+                if tree {
+                    for v in 1..m as u32 {
+                        edges.push((rng.gen_range(0..v), v));
+                    }
+                }
+                for _ in 0..extra.min(m) {
+                    let (a, b) = (rng.gen_range(0..m as u32), rng.gen_range(0..m as u32));
+                    if a != b {
+                        edges.push((a, b));
+                    }
+                }
+                Graph::new(m, &edges).unwrap()
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The bit-parallel diameter equals the largest BFS distance, and is
+        /// `None` exactly when some pair is unreachable.
+        #[test]
+        fn diameter_equals_the_largest_bfs_distance(g in any_graph()) {
+            proptest::prop_assert_eq!(g.diameter(), diameter_by_bfs(&g), "{:?}", g);
+        }
+    }
+
+    #[test]
+    fn diameter_is_exact_across_batches() {
+        // 200 vertices span four 64-source batches, the last one partial.
+        let line = Graph::line(200).unwrap();
+        assert_eq!(line.diameter(), Some(199));
+        assert_eq!(Graph::ring(129).unwrap().diameter(), Some(64));
+        assert_eq!(Graph::grid(25, 40).unwrap().diameter(), Some(63));
+        // Disconnected only in the last batch.
+        let mut edges: Vec<(u32, u32)> = (0..198).map(|i| (i, i + 1)).collect();
+        assert_eq!(Graph::new(200, &edges).unwrap().diameter(), None);
+        edges.push((198, 199));
+        assert_eq!(Graph::new(200, &edges).unwrap().diameter(), Some(199));
     }
 }

@@ -756,6 +756,26 @@ impl EdgeRun {
         self.words[w] &= !(1u64 << (e % 64));
     }
 
+    /// Overwrites the delivery words of the 64-edge `column` (edges
+    /// `64·column..`) in every round at once: round `r` delivers exactly the
+    /// column's edges whose bit is clear in `losses[r - 1]`. Bits past the
+    /// last edge are ignored, so the tail stays masked. The word-at-a-time
+    /// write the weak-adversary sampling kernel emits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `column` is out of range or `losses` does not hold one word
+    /// per round `1..=N`.
+    pub fn set_column_losses(&mut self, column: usize, losses: &[u64]) {
+        let wpr = self.words_per_round();
+        assert!(column < wpr, "edge column out of range");
+        assert_eq!(losses.len(), self.n as usize, "one loss word per round");
+        let mask = u64::MAX >> (64 - (self.edges.len() - 64 * column).min(64));
+        for (word, &loss) in self.words.iter_mut().skip(column).step_by(wpr).zip(losses) {
+            *word = mask & !loss;
+        }
+    }
+
     /// Returns whether directed edge index `e` delivers in `round`.
     #[inline]
     pub fn delivers_edge(&self, e: usize, round: Round) -> bool {
@@ -1164,6 +1184,32 @@ mod tests {
         // Out-of-range probes are simply absent, as with Run::delivers.
         assert!(!er.delivers_edge(99, r(1)));
         assert!(!er.delivers_edge(0, r(9)));
+    }
+
+    #[test]
+    fn edge_run_column_losses_overwrite_whole_words() {
+        // Ring(35) has 70 directed edges: a full column and a 6-edge tail.
+        let g = Graph::ring(35).unwrap();
+        let mut er = EdgeRun::good(&g, 2);
+        er.destroy(1, r(2));
+        er.set_column_losses(0, &[0b101, 0]);
+        // Loss bits past the last edge must not leak into the tail.
+        er.set_column_losses(1, &[u64::MAX << 5, !0b10]);
+        let mut want = EdgeRun::good(&g, 2);
+        for (e, round) in [
+            (0, 1),
+            (2, 1),
+            (69, 1),
+            (64, 2),
+            (66, 2),
+            (67, 2),
+            (68, 2),
+            (69, 2),
+        ] {
+            want.destroy(e, r(round));
+        }
+        assert_eq!(er, want);
+        assert_eq!(er.message_count(), 140 - 8);
     }
 
     #[test]

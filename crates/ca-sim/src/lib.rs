@@ -9,6 +9,8 @@
 //! * [`chaos`] — generic chaos-campaign machinery: deterministic seed
 //!   derivation, order-preserving parallel map, and delta-debugging
 //!   (`ddmin`) shrinking of violating inputs.
+//! * [`coin`] — the fixed-probability [`Coin`]: `gen_bool(p)` as an exact
+//!   integer threshold, computed once, for the hot sampling loops.
 //! * [`monte_carlo`] — parallel, seed-deterministic estimation of
 //!   `Pr[TA|R]`, `Pr[PA|R]`, and per-process decision probabilities.
 //! * [`stats`] — Bernoulli estimates with Wilson intervals.
@@ -23,6 +25,7 @@
 
 pub mod adaptive;
 pub mod chaos;
+pub mod coin;
 pub mod monte_carlo;
 pub mod stats;
 pub mod strategy;
@@ -31,6 +34,7 @@ pub mod weak;
 pub mod wire;
 
 pub use chaos::{ddmin, mix64, parallel_map, resolve_workers};
+pub use coin::Coin;
 pub use monte_carlo::{
     simulate, simulate_scalar, simulate_sliced, worst_disagreement, SimConfig, SimReport,
 };

@@ -17,6 +17,7 @@
 //! iid-drop samplers. [`simulate`] picks the sliced path whenever it
 //! applies; differential tests pin the two paths to each other.
 
+use crate::coin::Coin;
 use crate::stats::{BernoulliEstimate, RunningStats};
 use crate::strategy::{RunSampler, SlicedSampler};
 use ca_core::error::CaError;
@@ -428,9 +429,10 @@ where
                                 *kept = slot_count as u64;
                             }
                             SlicedSampler::IidDrop { p, .. } => {
+                                let coin = Coin::new(p);
                                 let mut flipped = 0u64;
                                 for slot in 0..slot_count {
-                                    if rng.gen_bool(p) {
+                                    if coin.flip(&mut rng) {
                                         engine.destroy_slot_lane(slot, lane);
                                         flipped += 1;
                                     }

@@ -7,6 +7,7 @@
 //! that ignore the RNG; families of candidate worst-case runs are provided
 //! for exhaustive search ([`cut_family`], [`single_drop_family`]).
 
+use crate::coin::Coin;
 use ca_core::adversary::prefix_cut_runs;
 use ca_core::graph::Graph;
 use ca_core::ids::Round;
@@ -156,6 +157,7 @@ pub struct RandomDrop {
     /// its coins over a flat list instead of re-walking the bit matrix.
     slots: Vec<MsgSlot>,
     p: f64,
+    coin: Coin,
 }
 
 impl RandomDrop {
@@ -179,7 +181,12 @@ impl RandomDrop {
             "drop probability must be in [0,1]"
         );
         let slots = base.messages().collect();
-        RandomDrop { base, slots, p }
+        RandomDrop {
+            base,
+            slots,
+            p,
+            coin: Coin::new(p),
+        }
     }
 
     /// The drop probability.
@@ -238,7 +245,7 @@ impl RandomDrop {
     fn drop_slots<R: Rng + ?Sized>(&self, run: &mut Run, rng: &mut R) -> u64 {
         let mut flipped = 0;
         for s in &self.slots {
-            if rng.gen_bool(self.p) && run.remove_message(s.from, s.to, s.round) {
+            if self.coin.flip(rng) && run.remove_message(s.from, s.to, s.round) {
                 flipped += 1;
             }
         }

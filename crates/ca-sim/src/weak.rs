@@ -23,8 +23,35 @@
 //! coin (a fixed number of draws regardless of outcomes); it has no lane-mask
 //! form, so `sliced()` stays `None` and the engine takes the scalar path.
 //! `tests` pin the dense and edge-keyed paths against each other per seed.
+//!
+//! # The sampling kernel
+//!
+//! Both paths run one kernel that keeps that contract exactly while doing
+//! far less per coin than `gen_bool`:
+//!
+//! * **Threshold coins.** Every coin is a [`Coin`]: `(rng.next_u64() >> 11)
+//!   < ⌈p · 2⁵³⌉`, with the thresholds computed once per adversary. This is
+//!   `gen_bool(p)` bit for bit, because both `(u >> 11) · 2⁻⁵³` and
+//!   `p · 2⁵³` are exact in `f64` (the argument is in [`crate::coin`]), and
+//!   it draws the same single word.
+//! * **Branch-free Gilbert–Elliott.** The channel state is an index into
+//!   two-entry coin tables, `bad ^= leave[bad]`, so neither the loss coin
+//!   nor the transition coin branches on the outcome.
+//! * **Word-at-a-time writes.** Losses of each 64-edge column accumulate in
+//!   one loss word per round, and the edge-keyed path writes each column's
+//!   words whole ([`EdgeRun::set_column_losses`]); the dense path walks the
+//!   set loss bits into [`Run::remove_message`]. The per-column buffer is
+//!   `N` words on the stack (on the heap only past 256 rounds).
+//!
+//! `tests/weak_kernel_differential.rs` checks the kernel per seed against a
+//! one-`gen_bool`-per-coin oracle on graphs with m in 500..=2048: the same
+//! `EdgeRun` word for word, the same dropped count, the same dense run and
+//! the same RNG stream position afterwards (the sweep's `rfire` draw comes
+//! next).
 
+use crate::coin::Coin;
 use crate::strategy::{RunSampler, SlicedSampler};
+use ca_core::error::CaError;
 use ca_core::graph::Graph;
 use ca_core::ids::Round;
 use ca_core::run::{EdgeRun, MsgSlot, Run};
@@ -99,9 +126,22 @@ impl LossModel {
         }
     }
 
-    fn validate(&self) {
+    /// Checks that every probability is in `[0, 1]` (NaN is not) and that
+    /// a Gilbert–Elliott chain can move at all — the typed form of the
+    /// panic [`WeakAdversary::new`] documents.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CaError::MalformedConfig`] naming the offending parameter.
+    pub fn check(&self) -> Result<(), CaError> {
         let check = |name: &str, v: f64| {
-            assert!((0.0..=1.0).contains(&v), "{name} must be in [0,1], got {v}");
+            if (0.0..=1.0).contains(&v) {
+                Ok(())
+            } else {
+                Err(CaError::malformed(format!(
+                    "{name} must be in [0,1], got {v}"
+                )))
+            }
         };
         match *self {
             LossModel::Iid { p } => check("p", p),
@@ -111,18 +151,58 @@ impl LossModel {
                 good_to_bad,
                 bad_to_good,
             } => {
-                check("loss_good", loss_good);
-                check("loss_bad", loss_bad);
-                check("good_to_bad", good_to_bad);
-                check("bad_to_good", bad_to_good);
-                assert!(
-                    good_to_bad + bad_to_good > 0.0,
-                    "Gilbert-Elliott needs at least one nonzero transition rate"
-                );
+                check("loss_good", loss_good)?;
+                check("loss_bad", loss_bad)?;
+                check("good_to_bad", good_to_bad)?;
+                check("bad_to_good", bad_to_good)?;
+                if good_to_bad + bad_to_good > 0.0 {
+                    Ok(())
+                } else {
+                    Err(CaError::malformed(
+                        "Gilbert-Elliott needs at least one nonzero transition rate",
+                    ))
+                }
             }
         }
     }
 }
+
+/// A loss model's coins, thresholds computed once (see [`Coin`]).
+#[derive(Clone, Copy, Debug)]
+enum SlotCoins {
+    Iid(Coin),
+    /// Two-entry tables indexed by the channel state (`0` good, `1` bad).
+    GilbertElliott {
+        /// The stationarity coin for the initial state: `true` = bad.
+        start: Coin,
+        /// Per-state loss coin.
+        loss: [Coin; 2],
+        /// Per-state "leave this state" coin: good → bad, bad → good.
+        leave: [Coin; 2],
+    },
+}
+
+impl SlotCoins {
+    fn of(model: &LossModel) -> Self {
+        match *model {
+            LossModel::Iid { p } => SlotCoins::Iid(Coin::new(p)),
+            LossModel::GilbertElliott {
+                loss_good,
+                loss_bad,
+                good_to_bad,
+                bad_to_good,
+            } => SlotCoins::GilbertElliott {
+                start: Coin::new(model.stationary_bad()),
+                loss: [Coin::new(loss_good), Coin::new(loss_bad)],
+                leave: [Coin::new(good_to_bad), Coin::new(bad_to_good)],
+            },
+        }
+    }
+}
+
+/// Horizons up to this many rounds keep the sampling kernel's loss column
+/// on the stack; longer ones use one heap buffer per trial.
+const STACK_ROUNDS: usize = 256;
 
 /// The weak adversary over the good run of a graph: every input arrives,
 /// and each round's message on each directed link is destroyed according to
@@ -140,6 +220,7 @@ pub struct WeakAdversary {
     /// The edge-keyed good run (the template `edge_template` hands out).
     template: EdgeRun,
     model: LossModel,
+    coins: SlotCoins,
 }
 
 impl WeakAdversary {
@@ -149,13 +230,17 @@ impl WeakAdversary {
     /// # Panics
     ///
     /// Panics if any model probability is outside `[0, 1]`, or if a
-    /// Gilbert–Elliott model has both transition rates zero.
+    /// Gilbert–Elliott model has both transition rates zero
+    /// ([`LossModel::check`] is the non-panicking test).
     pub fn new(graph: &Graph, n: u32, model: LossModel) -> Self {
-        model.validate();
+        if let Err(e) = model.check() {
+            panic!("{e}");
+        }
         WeakAdversary {
             base: OnceLock::new(),
             template: EdgeRun::good(graph, n),
             model,
+            coins: SlotCoins::of(&model),
         }
     }
 
@@ -210,63 +295,75 @@ impl WeakAdversary {
     /// same run — `tests` pin `er.to_run() == run`.
     pub fn sample_edges_into<R: Rng + ?Sized>(&self, er: &mut EdgeRun, rng: &mut R) -> u64 {
         er.reset_good();
-        self.for_each_destroyed(rng, |e, r| {
-            er.destroy(e, r);
+        self.for_each_loss_column(rng, |column, losses| {
+            er.set_column_losses(column, losses);
         })
     }
 
-    /// Draws the trial's coins and reports each destroyed `(edge index,
-    /// round)` — the single sampling engine both paths share.
-    fn for_each_destroyed<R: Rng + ?Sized>(
+    /// The sampling kernel both paths share: draws the trial's coins in the
+    /// link-major contract order and hands over each 64-edge column's
+    /// losses as one word per round — bit `b` of `losses[r - 1]` set means
+    /// edge `64·column + b` loses its round-`r` message. Returns the number
+    /// of messages destroyed.
+    fn for_each_loss_column<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        mut destroy: impl FnMut(usize, Round),
+        mut emit: impl FnMut(usize, &[u64]),
     ) -> u64 {
-        let n = self.template.horizon();
-        let mut flipped = 0;
-        match self.model {
-            LossModel::Iid { p } => {
-                for e in 0..self.template.directed_edge_count() {
-                    for r in Round::protocol_rounds(n) {
-                        if rng.gen_bool(p) {
-                            destroy(e, r);
-                            flipped += 1;
+        let n = self.template.horizon() as usize;
+        let edges = self.template.directed_edge_count();
+        let mut stack = [0u64; STACK_ROUNDS];
+        let mut heap = Vec::new();
+        let losses = if n <= STACK_ROUNDS {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, 0);
+            &mut heap[..]
+        };
+        let mut dropped = 0;
+        for column in 0..edges.div_ceil(64) {
+            losses.fill(0);
+            let width = (edges - 64 * column).min(64);
+            match self.coins {
+                SlotCoins::Iid(coin) => {
+                    for bit in 0..width {
+                        for loss in losses.iter_mut() {
+                            *loss |= coin.flip_bit(rng) << bit;
+                        }
+                    }
+                }
+                SlotCoins::GilbertElliott { start, loss, leave } => {
+                    for bit in 0..width {
+                        // Per link: the stationarity coin, then per round a
+                        // loss coin and a transition coin.
+                        let mut bad = start.flip_bit(rng) as usize;
+                        for word in losses.iter_mut() {
+                            *word |= loss[bad].flip_bit(rng) << bit;
+                            bad ^= leave[bad].flip_bit(rng) as usize;
                         }
                     }
                 }
             }
-            LossModel::GilbertElliott {
-                loss_good,
-                loss_bad,
-                good_to_bad,
-                bad_to_good,
-            } => {
-                let pi_bad = self.model.stationary_bad();
-                for e in 0..self.template.directed_edge_count() {
-                    let mut bad = rng.gen_bool(pi_bad);
-                    for r in Round::protocol_rounds(n) {
-                        let loss = if bad { loss_bad } else { loss_good };
-                        if rng.gen_bool(loss) {
-                            destroy(e, r);
-                            flipped += 1;
-                        }
-                        bad = if bad {
-                            !rng.gen_bool(bad_to_good)
-                        } else {
-                            rng.gen_bool(good_to_bad)
-                        };
-                    }
-                }
-            }
+            dropped += losses
+                .iter()
+                .map(|w| u64::from(w.count_ones()))
+                .sum::<u64>();
+            emit(column, losses);
         }
-        flipped
+        dropped
     }
 
     fn drop_into<R: Rng + ?Sized>(&self, run: &mut Run, rng: &mut R) -> u64 {
         let edges = self.template.directed_edges();
-        self.for_each_destroyed(rng, |e, r| {
-            let (from, to) = edges[e];
-            run.remove_message(from, to, r);
+        self.for_each_loss_column(rng, |column, losses| {
+            for (r, &loss) in (1..).zip(losses) {
+                let mut bits = loss;
+                while bits != 0 {
+                    let (from, to) = edges[64 * column + bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                    run.remove_message(from, to, Round::new(r));
+                }
+            }
         })
     }
 }

@@ -11,11 +11,11 @@
 //!
 //! # How a trial is classified
 //!
-//! One trial samples an [`EdgeRun`](ca_core::run::EdgeRun) through the weak
-//! adversary's edge-keyed path, runs the sparse level frontier once for the
-//! modified-level extremes `(min_i ML_i, max_i ML_i)`, and draws one `rfire`
-//! coin. By Lemma 6.4, Protocol S's counts equal `ML`, so with
-//! `rfire = t · u` (input-based validity, zero slack):
+//! One trial samples an [`EdgeRun`] through the weak adversary's edge-keyed
+//! path, runs the sparse level frontier once for the modified-level extremes
+//! `(min_i ML_i, max_i ML_i)`, and draws one `rfire` coin. By Lemma 6.4,
+//! Protocol S's counts equal `ML`, so with `rfire = t · u` (input-based
+//! validity, zero slack):
 //!
 //! * **TA** ⟺ `min ML ≥ rfire` — everyone fires;
 //! * **NA** ⟺ `max ML < rfire` — nobody fires;
@@ -29,21 +29,33 @@
 //! # Determinism
 //!
 //! Cells are independent: cell `c` derives its RNG stream from
-//! `mix64(seed, c)` and trial `k` within it from `mix64(cell_seed, k)`, so
-//! reports are byte-identical for a given `(config, seed)` across thread
-//! counts (the `threads` knob is serialized as 0, like `SimReport`). All
-//! tallies are integer [`BernoulliEstimate`]s; the only floats in a report
-//! are echoed config parameters.
+//! `mix64(seed, c)` and trial `k` within it from `mix64(cell_seed, k)`, so a
+//! trial's draws depend on its identity alone, never on the worker that runs
+//! it. [`run_sweep`] cuts every cell's trials into fixed-size chunks and
+//! hands all `(cell, chunk)` items to one worker pool, so the worker count is
+//! no longer capped by the cell count and no core idles while a slow cell
+//! finishes. Each cell's set-up (graph statistics, adversary and frontier
+//! prune plan) is built once, by the first worker to reach the cell, and
+//! shared read-only; the plan is the same whichever worker built it. Chunk
+//! tallies are integer sums (and min/max), so merging them in any order
+//! gives the same cell: reports are byte-identical for a given
+//! `(config, seed)` across thread counts (the `threads` knob is serialized
+//! as 0, like `SimReport`). All tallies are integer [`BernoulliEstimate`]s;
+//! the only floats in a report are echoed config parameters.
 
 use crate::report::Table;
 use ca_core::error::CaError;
 use ca_core::graph::{GraphStats, TopologySpec};
-use ca_core::level::{modified_level_extremes_into, LevelScratch};
+use ca_core::level::{modified_level_extremes_into, FrontierPlan, LevelScratch};
+use ca_core::run::EdgeRun;
 use ca_sim::weak::{LossModel, WeakAdversary};
-use ca_sim::{mix64, parallel_map, resolve_workers, BernoulliEstimate};
+use ca_sim::{mix64, resolve_workers, BernoulliEstimate};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Configuration of one scenario sweep: the cross product of topologies and
 /// adversaries, the Protocol S firing-range curve, and the sampling budget.
@@ -229,45 +241,79 @@ impl ScenarioSweepReport {
     }
 }
 
-/// Runs one topology × adversary cell.
-fn run_cell(
-    topology: &TopologySpec,
-    adversary: &LossModel,
-    config: &ScenarioSweepConfig,
-    cell_seed: u64,
-) -> Result<ScenarioCell, CaError> {
-    let graph = topology.build().map_err(CaError::from)?;
-    let stats = GraphStats::of(&graph);
-    let horizon = stats.diameter + config.horizon_slack;
-    let weak = WeakAdversary::new(&graph, horizon, *adversary);
-    let mut er = weak.edge_template();
-    let mut scratch = LevelScratch::new();
-    let mut points: Vec<FrontierPoint> = config
-        .t_curve
-        .iter()
-        .map(|&t| FrontierPoint {
-            t,
-            ta: BernoulliEstimate::default(),
-            pa: BernoulliEstimate::default(),
-            na: BernoulliEstimate::default(),
+/// Trials per work item of the sweep pool. Small enough that the last items
+/// of a sweep leave little idle time; large enough that an item's set-up
+/// lookup and tally merge are noise next to its trials.
+const CHUNK_TRIALS: u64 = 2;
+
+/// A cell's read-only set-up, built by the first worker that needs it and
+/// shared by every worker after.
+struct CellSetup {
+    stats: GraphStats,
+    horizon: u32,
+    weak: WeakAdversary,
+    /// The frontier prune plan of the cell's edge support, built once in
+    /// the building worker's scratch.
+    plan: Option<Arc<FrontierPlan>>,
+}
+
+impl CellSetup {
+    fn build(
+        topology: &TopologySpec,
+        adversary: &LossModel,
+        horizon_slack: u32,
+        scratch: &mut LevelScratch,
+    ) -> Result<Self, CaError> {
+        let graph = topology.build().map_err(CaError::from)?;
+        let stats = GraphStats::of(&graph);
+        let horizon = stats.diameter + horizon_slack;
+        let weak = WeakAdversary::new(&graph, horizon, *adversary);
+        let plan = scratch.plan_for(weak.template(), true);
+        Ok(CellSetup {
+            stats,
+            horizon,
+            weak,
+            plan,
         })
-        .collect();
-    let (mut ml_min_sum, mut ml_max_sum) = (0u64, 0u64);
-    let (mut ml_floor, mut ml_ceiling) = (u32::MAX, 0u32);
-    for trial in 0..config.trials {
-        // One RNG stream per trial, like the Monte Carlo engine: trial
-        // identity, not worker identity, determines the draws.
-        let mut rng = StdRng::seed_from_u64(mix64(cell_seed, trial));
-        // Draw order: slot coins in canonical link-major order, then one
-        // rfire unit coin — shared by the whole t-curve (CRN).
-        weak.sample_edges_into(&mut er, &mut rng);
-        let (ml_min, ml_max) = modified_level_extremes_into(&er, &mut scratch);
-        let u = (rng.next_u64() as f64 + 1.0) / 18_446_744_073_709_551_616.0; // 2^64
-        ml_min_sum += u64::from(ml_min);
-        ml_max_sum += u64::from(ml_max);
-        ml_floor = ml_floor.min(ml_min);
-        ml_ceiling = ml_ceiling.max(ml_max);
-        for pt in points.iter_mut() {
+    }
+}
+
+/// A cell's integer tallies over some of its trials. Merging adds them, so a
+/// cell's total does not depend on which worker ran which chunk, or when.
+struct Tally {
+    ml_min_sum: u64,
+    ml_max_sum: u64,
+    ml_floor: u32,
+    ml_ceiling: u32,
+    points: Vec<FrontierPoint>,
+}
+
+impl Tally {
+    fn new(t_curve: &[u32]) -> Self {
+        Tally {
+            ml_min_sum: 0,
+            ml_max_sum: 0,
+            ml_floor: u32::MAX,
+            ml_ceiling: 0,
+            points: t_curve
+                .iter()
+                .map(|&t| FrontierPoint {
+                    t,
+                    ta: BernoulliEstimate::default(),
+                    pa: BernoulliEstimate::default(),
+                    na: BernoulliEstimate::default(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Classifies one trial from its `ML` extremes and `rfire` unit draw.
+    fn record(&mut self, ml_min: u32, ml_max: u32, u: f64) {
+        self.ml_min_sum += u64::from(ml_min);
+        self.ml_max_sum += u64::from(ml_max);
+        self.ml_floor = self.ml_floor.min(ml_min);
+        self.ml_ceiling = self.ml_ceiling.max(ml_max);
+        for pt in self.points.iter_mut() {
             // rfire uniform in (0, t]: TA iff every count clears it, NA iff
             // none does (ML = 0 processes never fire; rfire > 0 covers them).
             let rfire = f64::from(pt.t) * u;
@@ -278,48 +324,156 @@ fn run_cell(
             pt.pa.record(!ta && !na);
         }
     }
-    Ok(ScenarioCell {
-        topology: topology.clone(),
-        topology_name: topology.name(),
-        adversary: *adversary,
-        adversary_name: adversary.name(),
-        graph: stats,
-        horizon,
-        trials: config.trials,
-        ml_min_sum,
-        ml_max_sum,
-        ml_floor,
-        ml_ceiling,
-        points,
-    })
+
+    fn merge(&mut self, other: &Tally) {
+        self.ml_min_sum += other.ml_min_sum;
+        self.ml_max_sum += other.ml_max_sum;
+        self.ml_floor = self.ml_floor.min(other.ml_floor);
+        self.ml_ceiling = self.ml_ceiling.max(other.ml_ceiling);
+        for (a, b) in self.points.iter_mut().zip(&other.points) {
+            a.ta.merge(&b.ta);
+            a.pa.merge(&b.pa);
+            a.na.merge(&b.na);
+        }
+    }
 }
 
-/// Runs the scenario sweep: every topology × adversary cell in parallel
-/// (order-preserving, per-cell seed streams), returning a byte-stable report.
+/// Runs trials `trials` of one cell into `tally`, sampling into `er` (sized
+/// for the cell) and running the frontier in `scratch`.
+fn run_trials(
+    setup: &CellSetup,
+    cell_seed: u64,
+    trials: Range<u64>,
+    er: &mut EdgeRun,
+    scratch: &mut LevelScratch,
+    tally: &mut Tally,
+) {
+    for trial in trials {
+        // One RNG stream per trial, like the Monte Carlo engine: trial
+        // identity, not worker identity, determines the draws.
+        let mut rng = StdRng::seed_from_u64(mix64(cell_seed, trial));
+        // Draw order: slot coins in canonical link-major order, then one
+        // rfire unit coin — shared by the whole t-curve (CRN).
+        setup.weak.sample_edges_into(er, &mut rng);
+        let (ml_min, ml_max) = modified_level_extremes_into(&*er, scratch);
+        let u = (rng.next_u64() as f64 + 1.0) / 18_446_744_073_709_551_616.0; // 2^64
+        tally.record(ml_min, ml_max, u);
+    }
+}
+
+/// Runs the scenario sweep, returning a byte-stable report.
+///
+/// Every cell's trials are cut into fixed-size chunks, and one worker pool
+/// takes `(cell, chunk)` items chunk-major, so the first chunks of all cells
+/// start together and no core idles while one slow cell finishes. The first worker to reach a cell builds its set-up (graph
+/// statistics, adversary, prune plan) in its own scratch; the others share
+/// it read-only. Each worker reuses one [`EdgeRun`] and one [`LevelScratch`].
 ///
 /// # Errors
 ///
 /// Returns an error if the config is degenerate (empty axes, zero trials or
 /// firing ranges), a loss model is invalid ([`LossModel::check`]) or a
-/// topology spec fails to build.
+/// topology spec fails to build — the lowest-index failing cell's error, at
+/// any thread count.
 pub fn run_sweep(config: &ScenarioSweepConfig) -> Result<ScenarioSweepReport, CaError> {
     config.validate()?;
     let cells: Vec<(usize, usize)> = (0..config.topologies.len())
         .flat_map(|t| (0..config.adversaries.len()).map(move |a| (t, a)))
         .collect();
-    let workers = resolve_workers(config.threads);
-    let results = parallel_map(cells.len(), workers, |idx| {
-        let (t, a) = cells[idx];
-        run_cell(
-            &config.topologies[t],
-            &config.adversaries[a],
-            config,
-            mix64(config.seed, idx as u64),
-        )
+    let chunks = config.trials.div_ceil(CHUNK_TRIALS);
+    let items = chunks.saturating_mul(cells.len() as u64);
+    let workers = resolve_workers(config.threads).min(usize::try_from(items).unwrap_or(usize::MAX));
+    let setups: Vec<OnceLock<Result<CellSetup, CaError>>> =
+        cells.iter().map(|_| OnceLock::new()).collect();
+    let tallies: Vec<Mutex<Tally>> = cells
+        .iter()
+        .map(|_| Mutex::new(Tally::new(&config.t_curve)))
+        .collect();
+    let next = AtomicU64::new(0);
+    let work = || {
+        let mut scratch = LevelScratch::new();
+        let mut er: Option<EdgeRun> = None;
+        let mut er_cell = usize::MAX;
+        loop {
+            let item = next.fetch_add(1, Ordering::Relaxed);
+            if item >= items {
+                break;
+            }
+            let cell = (item % cells.len() as u64) as usize;
+            let chunk = item / cells.len() as u64;
+            let (t, a) = cells[cell];
+            let setup = setups[cell].get_or_init(|| {
+                CellSetup::build(
+                    &config.topologies[t],
+                    &config.adversaries[a],
+                    config.horizon_slack,
+                    &mut scratch,
+                )
+            });
+            // A failed set-up skips its cell's chunks; the lowest-index
+            // error is picked after the pool.
+            let Ok(setup) = setup else {
+                continue;
+            };
+            let er = match &mut er {
+                Some(er) if er_cell == cell => er,
+                Some(er) => {
+                    er.clone_from(setup.weak.template());
+                    er
+                }
+                None => er.insert(setup.weak.edge_template()),
+            };
+            er_cell = cell;
+            if let Some(plan) = &setup.plan {
+                scratch.adopt_plan(Arc::clone(plan));
+            }
+            let first = chunk * CHUNK_TRIALS;
+            let trials = first..(first + CHUNK_TRIALS).min(config.trials);
+            let mut tally = Tally::new(&config.t_curve);
+            run_trials(
+                setup,
+                mix64(config.seed, cell as u64),
+                trials,
+                er,
+                &mut scratch,
+                &mut tally,
+            );
+            tallies[cell]
+                .lock()
+                .expect("no worker panics while merging")
+                .merge(&tally);
+        }
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+        // Join explicitly: the scope alone waits only for the closures, not
+        // for the threads to exit, so the next sweep's workers could start
+        // before this sweep's malloc arenas are free to reuse.
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
-    let mut out = Vec::with_capacity(results.len());
-    for cell in results {
-        out.push(cell?);
+    let mut out = Vec::with_capacity(cells.len());
+    for ((setup, tally), &(t, a)) in setups.into_iter().zip(tallies).zip(&cells) {
+        let setup = setup.into_inner().expect("every cell has a chunk")?;
+        let tally = tally.into_inner().expect("no worker panics while merging");
+        let (topology, adversary) = (&config.topologies[t], &config.adversaries[a]);
+        out.push(ScenarioCell {
+            topology: topology.clone(),
+            topology_name: topology.name(),
+            adversary: *adversary,
+            adversary_name: adversary.name(),
+            graph: setup.stats,
+            horizon: setup.horizon,
+            trials: config.trials,
+            ml_min_sum: tally.ml_min_sum,
+            ml_max_sum: tally.ml_max_sum,
+            ml_floor: tally.ml_floor,
+            ml_ceiling: tally.ml_ceiling,
+            points: tally.points,
+        });
     }
     let mut echoed = config.clone();
     echoed.threads = 0;
@@ -351,6 +505,125 @@ mod tests {
             seed: 0xCA11,
             horizon_slack: 3,
             threads: 1,
+        }
+    }
+
+    /// The serial per-cell loop `run_sweep` ran before trial chunking, kept
+    /// as the oracle: one cell at a time, every trial in order, one scratch
+    /// and one run per cell.
+    fn oracle_cell(
+        topology: &TopologySpec,
+        adversary: &LossModel,
+        config: &ScenarioSweepConfig,
+        cell_seed: u64,
+    ) -> Result<ScenarioCell, CaError> {
+        let graph = topology.build().map_err(CaError::from)?;
+        let stats = GraphStats::of(&graph);
+        let horizon = stats.diameter + config.horizon_slack;
+        let weak = WeakAdversary::new(&graph, horizon, *adversary);
+        let mut er = weak.edge_template();
+        let mut scratch = LevelScratch::new();
+        let mut points: Vec<FrontierPoint> = config
+            .t_curve
+            .iter()
+            .map(|&t| FrontierPoint {
+                t,
+                ta: BernoulliEstimate::default(),
+                pa: BernoulliEstimate::default(),
+                na: BernoulliEstimate::default(),
+            })
+            .collect();
+        let (mut ml_min_sum, mut ml_max_sum) = (0u64, 0u64);
+        let (mut ml_floor, mut ml_ceiling) = (u32::MAX, 0u32);
+        for trial in 0..config.trials {
+            let mut rng = StdRng::seed_from_u64(mix64(cell_seed, trial));
+            weak.sample_edges_into(&mut er, &mut rng);
+            let (ml_min, ml_max) = modified_level_extremes_into(&er, &mut scratch);
+            let u = (rng.next_u64() as f64 + 1.0) / 18_446_744_073_709_551_616.0; // 2^64
+            ml_min_sum += u64::from(ml_min);
+            ml_max_sum += u64::from(ml_max);
+            ml_floor = ml_floor.min(ml_min);
+            ml_ceiling = ml_ceiling.max(ml_max);
+            for pt in points.iter_mut() {
+                let rfire = f64::from(pt.t) * u;
+                let ta = f64::from(ml_min) >= rfire;
+                let na = f64::from(ml_max) < rfire;
+                pt.ta.record(ta);
+                pt.na.record(na);
+                pt.pa.record(!ta && !na);
+            }
+        }
+        Ok(ScenarioCell {
+            topology: topology.clone(),
+            topology_name: topology.name(),
+            adversary: *adversary,
+            adversary_name: adversary.name(),
+            graph: stats,
+            horizon,
+            trials: config.trials,
+            ml_min_sum,
+            ml_max_sum,
+            ml_floor,
+            ml_ceiling,
+            points,
+        })
+    }
+
+    fn oracle_sweep(config: &ScenarioSweepConfig) -> Result<ScenarioSweepReport, CaError> {
+        let mut cells = Vec::new();
+        for topology in &config.topologies {
+            for adversary in &config.adversaries {
+                let seed = mix64(config.seed, cells.len() as u64);
+                cells.push(oracle_cell(topology, adversary, config, seed)?);
+            }
+        }
+        let mut echoed = config.clone();
+        echoed.threads = 0;
+        Ok(ScenarioSweepReport {
+            schema: 1,
+            config: echoed,
+            cells,
+        })
+    }
+
+    #[test]
+    fn chunked_sweep_equals_the_serial_cell_loop_at_any_thread_count() {
+        // Trial counts below, at and off multiples of the chunk size, and
+        // more workers than cells (and than work items).
+        for trials in [1, 7, 13, 64] {
+            let mut config = tiny_config();
+            config.trials = trials;
+            let want = serde::json::to_string(&oracle_sweep(&config).unwrap()).unwrap();
+            for threads in [1, 2, 3, 8] {
+                config.threads = threads;
+                let got = serde::json::to_string(&run_sweep(&config).unwrap()).unwrap();
+                assert_eq!(got, want, "trials {trials}, threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_pool_returns_the_lowest_index_cell_error() {
+        // Two topologies that fail to build, after one that builds: the
+        // report is the first failing cell's error at any worker count, and
+        // no worker waits on a set-up that failed.
+        let small_world = |k| TopologySpec::SmallWorld {
+            m: 40,
+            k,
+            beta: 0.1,
+            seed: 1,
+        };
+        let mut config = tiny_config();
+        config.topologies = vec![TopologySpec::Ring { m: 8 }, small_world(3), small_world(40)];
+        let want = CaError::from(small_world(3).build().expect_err("odd k"));
+        assert_ne!(
+            want.to_string(),
+            CaError::from(small_world(40).build().expect_err("k >= m")).to_string()
+        );
+        for threads in [1, 8] {
+            config.threads = threads;
+            let err = run_sweep(&config).expect_err("invalid topologies");
+            assert_eq!(err.to_string(), want.to_string(), "threads {threads}");
         }
     }
 

@@ -16,12 +16,13 @@
 //!   counting-automaton frontier, `O(|messages| · m/64)` per round, generic
 //!   over any [`DeliverySource`] (dense [`Run`] or edge-keyed
 //!   [`crate::run::EdgeRun`]), pruned on edge-keyed runs to the seen-sets
-//!   that can still complete a level; this is the hot path every Monte
-//!   Carlo trial rides. See DESIGN.md §11 for the frontier invariant.
+//!   that can still complete a level and to the edges whose messages can
+//!   still move their receiver; this is the hot path every Monte Carlo
+//!   trial rides. See DESIGN.md §11 for the frontier invariant.
 //! * [`levels`] / [`modified_levels`] — an `O(m²·N)` "gossip" dynamic program
 //!   that mirrors how the levels actually propagate, building the full
-//!   per-round table; the dense min-level variant survives as the
-//!   differential oracle behind [`dense_min_level_into`].
+//!   per-round table; its run-wide minimum is the differential oracle
+//!   behind [`dense_min_level`].
 //! * [`level_by_definition`] / [`modified_level_by_definition`] — a direct
 //!   memoized transcription of the recursive definition, used as a test
 //!   oracle.
@@ -82,12 +83,47 @@
 //! good run to bound it, and building the bound from its own messages would
 //! cost a full unpruned pass on every call. It runs the same loop with every
 //! deadline at infinity.
+//!
+//! A plan is immutable once built and sits behind an [`Arc`]: a worker
+//! builds it in its own scratch ([`LevelScratch::plan_for`]) and others take
+//! it ([`LevelScratch::adopt_plan`]) instead of rebuilding it.
+//!
+//! # Why skipping masked messages keeps it exact
+//!
+//! The filter above reads end-of-previous-round state. As a sender, process
+//! `i` has a key `key[i]` set by its count and flags; as a receiver, `j` has
+//! a need `need[j]` set by its count, flags and whether the round is past
+//! its deadline. A message `i → j` passes only if `key[i] ≥ need[j]` and,
+//! when `i` is at count 0, it brings `j` a new flag. On an edge-keyed run
+//! most delivered messages fail it on arrival (88% on the m = 1000 grid),
+//! yet each would still be read every round. So the frontier keeps an
+//! interest mask `want`, one bit per directed edge, and walks only
+//! `delivered & want` ([`DeliverySource::for_each_wanted_delivery`]).
+//! `want` starts full; a message the filter rejects clears its edge's bit,
+//! and a process whose count or flags move re-arms its whole out-edge range
+//! (contiguous, because the support is sorted by `(from, to)`). The mask
+//! stays a superset of the edges whose message could move their receiver,
+//! because a rejection of `i → j` lasts until `i` moves:
+//!
+//! * **`need[j]` never falls.** Within a count it rises by one past the
+//!   deadline and never comes back down; a count-0 process's need rises from
+//!   0 to 1 when it gains only the input; a higher count needs a higher key.
+//! * **`key[i]` and `i`'s flags change only when `i` moves**, and then its
+//!   out-range is re-armed before the next round reads it.
+//! * **`j`'s flags only rise**, so a count-0 sender that brought `j` no new
+//!   flag never will, until the sender itself moves.
+//!
+//! Debug builds check the superset invariant every round: each delivered
+//! edge whose bit is clear is rejected by the exact filter. The dense [`Run`]
+//! and the plan's good-run pass take the same single loop; they visit every
+//! message and ignore the answers.
 
 use crate::error::CaError;
 use crate::flow::FlowGraph;
 use crate::ids::{ProcessId, Round};
 use crate::run::{DeliverySource, Run};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Per-process, per-round level table for one run.
 ///
@@ -206,22 +242,14 @@ fn ensure_two_processes(run: &Run) -> Result<(), CaError> {
 /// millions of times; a scratch threaded through the loop keeps the gossip
 /// working vectors alive across trials instead of reallocating them. For an
 /// edge-keyed run it also caches the prune plan of the run's edge support
-/// (see the module docs), built on the first call for that support.
+/// (see the module docs), built on the first call for that support or taken
+/// from another scratch with [`LevelScratch::adopt_plan`].
 #[derive(Debug, Default)]
 pub struct LevelScratch {
-    // --- dense-oracle buffers (the legacy `O(m²)` DP behind
-    // `dense_min_level_into`, kept as the differential oracle) ---
-    valid: Vec<bool>,
-    heard_leader: Vec<bool>,
-    /// `heard[j * m + i]`: best level of `i` known (via flow) to `j`.
-    heard: Vec<u32>,
-    snap_heard: Vec<u32>,
-    snap_valid: Vec<bool>,
-    snap_leader: Vec<bool>,
     /// The sparse frontier's buffers (the counting-automaton hot path).
     frontier: Frontier,
     /// The prune plan of the last edge support the frontier ran on.
-    plan: Option<FrontierPlan>,
+    plan: Option<Arc<FrontierPlan>>,
 }
 
 impl LevelScratch {
@@ -229,6 +257,43 @@ impl LevelScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The prune plan of `run`'s edge support for the `L` measure (the `ML`
+    /// measure when `modified`), built in this scratch's buffers unless the
+    /// cached plan already fits; `None` when `run` fixes no edge support.
+    /// Hand it to other scratches with [`LevelScratch::adopt_plan`].
+    pub fn plan_for<D: DeliverySource + ?Sized>(
+        &mut self,
+        run: &D,
+        modified: bool,
+    ) -> Option<Arc<FrontierPlan>> {
+        ensure_plan(&mut self.plan, &mut self.frontier, run, modified)?;
+        self.plan.clone()
+    }
+
+    /// Caches a plan built by another scratch: later calls on a run whose
+    /// support and measure it fits prune by it without rebuilding it.
+    pub fn adopt_plan(&mut self, plan: Arc<FrontierPlan>) {
+        self.plan = Some(plan);
+    }
+}
+
+/// The cached plan of `run`'s support, built into `frontier`'s buffers
+/// first if the cache does not fit; `None` for a run with no edge support.
+fn ensure_plan<'a, D: DeliverySource + ?Sized>(
+    plan: &'a mut Option<Arc<FrontierPlan>>,
+    frontier: &mut Frontier,
+    run: &D,
+    modified: bool,
+) -> Option<&'a FrontierPlan> {
+    let edges = run.edge_support()?;
+    let (m, n) = (run.process_count(), run.horizon());
+    if !plan.as_ref().is_some_and(|p| p.fits(m, n, edges, modified)) {
+        *plan = Some(Arc::new(FrontierPlan::build(
+            m, n, edges, modified, frontier,
+        )));
+    }
+    plan.as_deref()
 }
 
 /// Buffers of the sparse counting-automaton frontier. Seen-sets are rows of
@@ -268,6 +333,10 @@ struct Frontier {
     stamp_cur: u32,
     /// Receivers touched this round, in first-message order.
     touch: Vec<u32>,
+    /// Interest mask over the plan's edges, one bit per edge: a clear bit
+    /// means the edge's message is filtered out until its sender moves (see
+    /// the module docs). Unused on unplanned passes.
+    want: Vec<u64>,
     /// `m` the buffers are currently sized for, and words per seen-row.
     m: usize,
     words: usize,
@@ -276,13 +345,18 @@ struct Frontier {
 /// The prune plan of one edge support: per level `c`, the last round
 /// `D_c(k)` at which process `k`'s level-`c` seen-set can still flow to a
 /// process able to complete level `c` (see the module docs). Keyed on the
-/// exact `(m, N, edges, modified)` it was built for.
+/// exact `(m, N, edges, modified)` it was built for; immutable once built,
+/// so scratches share it through an [`Arc`].
 #[derive(Debug)]
-struct FrontierPlan {
+pub struct FrontierPlan {
     m: usize,
     n: u32,
     modified: bool,
-    edges: Vec<(ProcessId, ProcessId)>,
+    /// The edge support in compressed rows: `i`'s out-edges are the indices
+    /// `out[i]..out[i + 1]` of the sorted edge list, with receivers
+    /// `to[out[i]..out[i + 1]]`.
+    out: Vec<u32>,
+    to: Vec<u32>,
     /// `deadline[(c - 1) * m + k] = D_c(k)` for the levels `c` some process
     /// completes in the good run; past the table no process completes, so
     /// every deadline there is 0.
@@ -354,8 +428,32 @@ impl DeliverySource for GoodRun<'_> {
 }
 
 impl FrontierPlan {
+    /// Is this the plan of exactly `(m, N, edges, modified)`? The support is
+    /// sorted by `(from, to)` (the [`DeliverySource::edge_support`]
+    /// contract), so equal receivers plus each sender's first and last
+    /// out-edge pin every edge. Checked on every call, without branches per
+    /// edge.
     fn fits(&self, m: usize, n: u32, edges: &[(ProcessId, ProcessId)], modified: bool) -> bool {
-        self.m == m && self.n == n && self.modified == modified && self.edges == edges
+        self.m == m
+            && self.n == n
+            && self.modified == modified
+            && self.to.len() == edges.len()
+            && edges
+                .iter()
+                .zip(&self.to)
+                .fold(true, |ok, (&(_, to), &t)| ok & (to.as_u32() == t))
+            && self.out.windows(2).enumerate().fold(true, |ok, (i, w)| {
+                let (a, b) = (w[0] as usize, w[1] as usize);
+                ok & (a == b || (edges[a].0.index() == i && edges[b - 1].0.index() == i))
+            })
+    }
+
+    /// The index of edge `i → j` in the sorted support.
+    fn edge_index(&self, i: usize, j: usize) -> Option<usize> {
+        let lo = self.out[i] as usize;
+        let hi = self.out[i + 1] as usize;
+        let k = self.to[lo..hi].binary_search(&(j as u32)).ok()?;
+        Some(lo + k)
     }
 
     /// Runs the unpruned frontier over the good run for the counts `g_j`,
@@ -369,14 +467,18 @@ impl FrontierPlan {
         modified: bool,
         frontier: &mut Frontier,
     ) -> Self {
-        frontier.pass(&GoodRun { m, n, edges }, modified, Deadlines::UNPRUNED);
+        frontier.pass(&GoodRun { m, n, edges }, modified, None);
         let good = &frontier.count[..m];
-        // In-edges as CSR, so the BFS can walk every edge backwards.
+        // Out-edge offsets (the support is sorted by sender), and in-edges
+        // as CSR, so the BFS can walk every edge backwards.
+        let mut out = vec![0u32; m + 1];
         let mut start = vec![0usize; m + 1];
-        for &(_, to) in edges {
+        for &(from, to) in edges {
+            out[from.index() + 1] += 1;
             start[to.index() + 1] += 1;
         }
         for k in 0..m {
+            out[k + 1] += out[k];
             start[k + 1] += start[k];
         }
         let mut next = start.clone();
@@ -421,7 +523,8 @@ impl FrontierPlan {
             m,
             n,
             modified,
-            edges: edges.to_vec(),
+            out,
+            to: edges.iter().map(|&(_, to)| to.as_u32()).collect(),
             deadline,
         }
     }
@@ -494,31 +597,20 @@ pub fn modified_level_extremes_into<D: DeliverySource + ?Sized>(
 }
 
 /// The sparse counting-automaton frontier (see the module docs for why it is
-/// exactly the gossip DP, and why the prune keeps it exact). An edge-keyed
-/// run is pruned by its support's plan, built into the scratch on first
-/// use; a dense [`Run`] fixes no support and runs unpruned.
+/// exactly the gossip DP, and why the prune and the interest mask keep it
+/// exact). An edge-keyed run is pruned by its support's plan, built into the
+/// scratch on first use; a dense [`Run`] fixes no support and runs unpruned.
 fn frontier_extremes<D: DeliverySource + ?Sized>(
     run: &D,
     modified: bool,
     s: &mut LevelScratch,
 ) -> (u32, u32) {
-    let m = run.process_count();
-    let n = run.horizon();
-    assert!(m >= 2, "levels are defined for m >= 2 (paper's model)");
-    let deadlines = match run.edge_support() {
-        Some(edges) => {
-            if !s
-                .plan
-                .as_ref()
-                .is_some_and(|p| p.fits(m, n, edges, modified))
-            {
-                s.plan = Some(FrontierPlan::build(m, n, edges, modified, &mut s.frontier));
-            }
-            s.plan.as_ref().expect("plan built above").deadlines()
-        }
-        None => Deadlines::UNPRUNED,
-    };
-    let (lo, hi) = s.frontier.pass(run, modified, deadlines);
+    assert!(
+        run.process_count() >= 2,
+        "levels are defined for m >= 2 (paper's model)"
+    );
+    let plan = ensure_plan(&mut s.plan, &mut s.frontier, run, modified);
+    let (lo, hi) = s.frontier.pass(run, modified, plan);
     debug_assert!(
         !modified || hi <= lo + 1,
         "Lemma 6.2 violated: ML extremes ({lo}, {hi})"
@@ -572,6 +664,18 @@ fn union_into(dst: &mut [u64], src: &[u64]) {
     }
 }
 
+/// Sets bits `lo..hi` of a flat bitset.
+#[inline]
+fn set_bits(words: &mut [u64], lo: usize, hi: usize) {
+    let mut e = lo;
+    while e < hi {
+        let b = e % 64;
+        let n = (hi - e).min(64 - b);
+        words[e / 64] |= (u64::MAX >> (64 - n)) << b;
+        e += n;
+    }
+}
+
 impl Frontier {
     fn resize(&mut self, m: usize) {
         let words = m.div_ceil(64);
@@ -599,13 +703,15 @@ impl Frontier {
     /// previous-round sender state, then finalizes the touched receivers —
     /// adopt a higher count outright, union seen-sets at an equal count, and
     /// bump `count` (at most once) when `seen` covers all `m` processes.
-    /// Seen-sets past their deadline are neither merged nor tested; counts,
-    /// flags and adoption stay exact. Returns the final count extremes.
+    /// With a plan, seen-sets past their deadline are neither merged nor
+    /// tested, and the sweep skips the edges the interest mask has cleared;
+    /// counts, flags and adoption stay exact. Returns the final count
+    /// extremes.
     fn pass<D: DeliverySource + ?Sized>(
         &mut self,
         run: &D,
         modified: bool,
-        dl: Deadlines<'_>,
+        plan: Option<&FrontierPlan>,
     ) -> (u32, u32) {
         let m = run.process_count();
         if self.m != m {
@@ -627,10 +733,15 @@ impl Frontier {
             stamp,
             stamp_cur,
             touch,
+            want,
             words: w,
             ..
         } = self;
         let w = *w;
+        let dl = plan.map_or(Deadlines::UNPRUNED, FrontierPlan::deadlines);
+        let out: &[u32] = plan.map_or(&[], |p| &p.out);
+        want.clear();
+        want.resize(plan.map_or(0, |p| p.to.len().div_ceil(64)), u64::MAX);
         let full_tail = match m % 64 {
             0 => u64::MAX,
             tail => u64::MAX >> (64 - tail),
@@ -662,23 +773,24 @@ impl Frontier {
             for ((nd, &live), &d) in need.iter_mut().zip(&*need_live).zip(&*dline) {
                 *nd = live + u32::from(rr > d);
             }
+            // The exact message filter, over end-of-previous-round state.
+            // Filtered out: a lower count (a receiver at count ≥ 1 already
+            // holds both flags), an equal count past the receiver's
+            // deadline, a token-less count-0 sender to a receiver missing
+            // only the token, or a count-0 sender that brings no new flag.
+            let rejects = |i: usize, j: usize| {
+                key[i] < need[j]
+                    || (count[i] == 0 && (valid[j] || !valid[i]) && (token[j] || !token[i]))
+            };
             // Sweep: senders' states are still end-of-previous-round values
             // (writes happen only in the finalize pass), so no snapshot copies
-            // are needed.
-            run.for_each_delivery_in_round(r, |from, to| {
+            // are needed. A rejected message drops out of `want`.
+            run.for_each_wanted_delivery(r, want, |from, to| {
                 let (i, j) = (from.index(), to.index());
-                // Filtered out: a lower count (a receiver at count ≥ 1
-                // already holds both flags), an equal count past the
-                // receiver's deadline, or a token-less count-0 sender to a
-                // receiver missing only the token.
-                if key[i] < need[j] {
-                    return;
+                if rejects(i, j) {
+                    return false;
                 }
                 let ci = count[i];
-                // Count 0 on both ends: only the flags can move.
-                if ci == 0 && (valid[j] || !valid[i]) && (token[j] || !token[i]) {
-                    return;
-                }
                 if stamp[j] != cur {
                     stamp[j] = cur;
                     touch.push(j as u32);
@@ -696,11 +808,26 @@ impl Frontier {
                 } else if ci == rx_high[j] && ci > 0 && dl.live(ci, j, rr) {
                     union_into(row_mut(rx_seen, j, w), row(seen, i, w));
                 }
+                true
             });
+            if cfg!(debug_assertions) {
+                if let Some(p) = plan {
+                    // The mask is a superset of the edges that matter.
+                    run.for_each_delivery_in_round(r, |from, to| {
+                        let (i, j) = (from.index(), to.index());
+                        let e = p.edge_index(i, j).expect("edge on the support");
+                        assert!(
+                            want[e / 64] >> (e % 64) & 1 == 1 || rejects(i, j),
+                            "masked edge {from} -> {to} passes the filter in round {rr}"
+                        );
+                    });
+                }
+            }
             // Finalize the touched receivers (untouched state cannot change:
             // levels only move when a message arrives — Lemma 5.1).
             for &j in touch.iter() {
                 let j = j as usize;
+                let before = (count[j], valid[j], token[j]);
                 valid[j] |= rx_valid[j];
                 token[j] |= rx_token[j];
                 let mut c = count[j];
@@ -731,6 +858,9 @@ impl Frontier {
                     }
                 }
                 count[j] = c;
+                if !out.is_empty() && (c, valid[j], token[j]) != before {
+                    set_bits(want, out[j] as usize, out[j + 1] as usize);
+                }
                 (key[j], need_live[j], dline[j]) = filter_entry(c, valid[j], token[j], dl, j);
             }
         }
@@ -745,80 +875,13 @@ impl Frontier {
     }
 }
 
-/// The dense `O(m²)` gossip DP on flat scratch buffers, kept as the
-/// differential oracle for the sparse frontier (see
-/// `tests/sparse_level_differential.rs`). Not part of the supported API.
+/// `min_i L_i(R)` (or `min_i ML_i(R)` when `modified`) by the dense
+/// `O(m²)` gossip DP, on buffers of its own: the differential oracle for the
+/// sparse frontier (see `tests/sparse_level_differential.rs`). Not part of
+/// the supported API.
 #[doc(hidden)]
-pub fn dense_min_level_into(run: &Run, modified: bool, scratch: &mut LevelScratch) -> u32 {
-    gossip_min_level(run, modified, scratch)
-}
-
-/// The same gossip dynamic program as [`gossip_levels`], but on flat scratch
-/// buffers and keeping only the final per-process levels.
-fn gossip_min_level(run: &Run, modified: bool, s: &mut LevelScratch) -> u32 {
-    let m = run.process_count();
-    let n = run.horizon();
-    assert!(m >= 2, "levels are defined for m >= 2 (paper's model)");
-
-    s.valid.clear();
-    s.valid
-        .extend((0..m).map(|j| run.has_input(ProcessId::new(j as u32))));
-    s.heard_leader.clear();
-    s.heard_leader.resize(m, false);
-    s.heard_leader[ProcessId::LEADER.index()] = true;
-    s.heard.clear();
-    s.heard.resize(m * m, 0);
-
-    let base_holds = |valid_j: bool, heard_leader_j: bool| -> bool {
-        if modified {
-            valid_j && heard_leader_j
-        } else {
-            valid_j
-        }
-    };
-
-    for j in 0..m {
-        if base_holds(s.valid[j], s.heard_leader[j]) {
-            s.heard[j * m + j] = 1;
-        }
-    }
-
-    for r in Round::protocol_rounds(n) {
-        s.snap_heard.clear();
-        s.snap_heard.extend_from_slice(&s.heard);
-        s.snap_valid.clear();
-        s.snap_valid.extend_from_slice(&s.valid);
-        s.snap_leader.clear();
-        s.snap_leader.extend_from_slice(&s.heard_leader);
-        run.for_each_message_in_round(r, |slot| {
-            let (i, j) = (slot.from.index(), slot.to.index());
-            for k in 0..m {
-                if s.snap_heard[i * m + k] > s.heard[j * m + k] {
-                    s.heard[j * m + k] = s.snap_heard[i * m + k];
-                }
-            }
-            s.valid[j] |= s.snap_valid[i];
-            s.heard_leader[j] |= s.snap_leader[i];
-        });
-        for j in 0..m {
-            if base_holds(s.valid[j], s.heard_leader[j]) && s.heard[j * m + j] == 0 {
-                s.heard[j * m + j] = 1;
-            }
-            let min_other = (0..m)
-                .filter(|&i| i != j)
-                .map(|i| s.heard[j * m + i])
-                .min()
-                .expect("m >= 2");
-            if min_other >= 1 && min_other + 1 > s.heard[j * m + j] {
-                s.heard[j * m + j] = min_other + 1;
-            }
-        }
-    }
-
-    (0..m)
-        .map(|j| s.heard[j * m + j])
-        .min()
-        .expect("at least one process")
+pub fn dense_min_level(run: &Run, modified: bool) -> u32 {
+    gossip_levels(run, modified).min_level()
 }
 
 /// The gossip dynamic program shared by [`levels`] and [`modified_levels`].
@@ -1288,7 +1351,7 @@ mod tests {
                     );
                     assert_eq!(
                         extremes.0,
-                        dense_min_level_into(&run, modified, &mut scratch),
+                        dense_min_level(&run, modified),
                         "dense oracle mismatch (modified={modified}) in {run:?}"
                     );
                 }

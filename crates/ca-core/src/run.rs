@@ -600,6 +600,23 @@ pub trait DeliverySource {
     /// Calls `f(from, to)` for every delivered message of `round` in
     /// canonical `(from, to)` order.
     fn for_each_delivery_in_round(&self, round: Round, f: impl FnMut(ProcessId, ProcessId));
+    /// Like [`DeliverySource::for_each_delivery_in_round`], but a source
+    /// may skip every delivery whose edge bit in `want` is clear (bit `e` of
+    /// word `e / 64` for edge `e` of [`DeliverySource::edge_support`]), and
+    /// `f` answers per message whether to keep wanting that edge: `false`
+    /// clears its bit. The default visits every delivery and ignores both
+    /// the mask and the answers, which is exact for any caller whose `want`
+    /// holds every edge that still matters.
+    fn for_each_wanted_delivery(
+        &self,
+        round: Round,
+        _want: &mut [u64],
+        mut f: impl FnMut(ProcessId, ProcessId) -> bool,
+    ) {
+        self.for_each_delivery_in_round(round, |from, to| {
+            f(from, to);
+        });
+    }
     /// The directed edges every delivery is drawn from, sorted by
     /// `(from, to)`, when the representation fixes them up front. The level
     /// frontier keys its per-support prune plan on this; `None` (the
@@ -644,7 +661,7 @@ impl DeliverySource for Run {
 /// representations (see DESIGN.md §11). Samplers iterate *link-major*
 /// (edges in `(from, to)` order, rounds ascending within each link), the
 /// same order [`Run::messages`] yields slots of a good run.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct EdgeRun {
     m: usize,
     n: u32,
@@ -708,6 +725,16 @@ impl EdgeRun {
 
     fn words_per_round(&self) -> usize {
         self.edges.len().div_ceil(64)
+    }
+
+    /// The delivery words of `round` (empty outside `1..=N`).
+    fn round_block(&self, round: Round) -> &[u64] {
+        let r = round.get();
+        if r < 1 || r > self.n {
+            return &[];
+        }
+        let wpr = self.words_per_round();
+        &self.words[(r as usize - 1) * wpr..(r as usize) * wpr]
     }
 
     /// Number of processes `m`.
@@ -824,13 +851,7 @@ impl DeliverySource for EdgeRun {
     }
 
     fn for_each_delivery_in_round(&self, round: Round, mut f: impl FnMut(ProcessId, ProcessId)) {
-        let r = round.get();
-        if r < 1 || r > self.n {
-            return;
-        }
-        let wpr = self.words_per_round();
-        let block = &self.words[(r as usize - 1) * wpr..(r as usize) * wpr];
-        for (word, &bits) in block.iter().enumerate() {
+        for (word, &bits) in self.round_block(round).iter().enumerate() {
             let mut bits = bits;
             while bits != 0 {
                 let e = word * 64 + bits.trailing_zeros() as usize;
@@ -841,8 +862,62 @@ impl DeliverySource for EdgeRun {
         }
     }
 
+    /// Walks only `words & want`, one 64-edge word at a time, and clears
+    /// the bits of the messages `f` rejects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `want` holds fewer words than one per 64 edges.
+    fn for_each_wanted_delivery(
+        &self,
+        round: Round,
+        want: &mut [u64],
+        mut f: impl FnMut(ProcessId, ProcessId) -> bool,
+    ) {
+        let block = self.round_block(round);
+        if block.is_empty() {
+            return;
+        }
+        assert!(want.len() >= block.len(), "one want word per 64 edges");
+        for (word, (&bits, want)) in block.iter().zip(want.iter_mut()).enumerate() {
+            let mut bits = bits & *want;
+            let mut rejected = 0;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (from, to) = self.edges[word * 64 + b];
+                if !f(from, to) {
+                    rejected |= 1 << b;
+                }
+            }
+            *want &= !rejected;
+        }
+    }
+
     fn edge_support(&self) -> Option<&[(ProcessId, ProcessId)]> {
         Some(&self.edges)
+    }
+}
+
+impl Clone for EdgeRun {
+    fn clone(&self) -> Self {
+        EdgeRun {
+            m: self.m,
+            n: self.n,
+            edges: self.edges.clone(),
+            inputs: self.inputs.clone(),
+            words: self.words.clone(),
+        }
+    }
+
+    /// Clones without reallocating when the destination's buffers are large
+    /// enough: a sweep worker moving between cells re-shapes one run.
+    fn clone_from(&mut self, source: &Self) {
+        self.m = source.m;
+        self.n = source.n;
+        self.edges.clone_from(&source.edges);
+        self.inputs.clone_from(&source.inputs);
+        self.words.clone_from(&source.words);
     }
 }
 

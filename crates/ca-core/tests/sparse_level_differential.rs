@@ -15,7 +15,7 @@
 use ca_core::graph::{generators, Graph};
 use ca_core::ids::{ProcessId, Round};
 use ca_core::level::{
-    dense_min_level_into, level_extremes_into, levels, min_level_into, min_modified_level_into,
+    dense_min_level, level_extremes_into, levels, min_level_into, min_modified_level_into,
     modified_level_extremes_into, modified_levels, LevelScratch,
 };
 use ca_core::run::EdgeRun;
@@ -168,11 +168,11 @@ proptest! {
         let mut scratch = LevelScratch::new();
         prop_assert_eq!(
             min_level_into(&er, &mut scratch),
-            dense_min_level_into(&dense, false, &mut scratch)
+            dense_min_level(&dense, false)
         );
         prop_assert_eq!(
             min_modified_level_into(&er, &mut scratch),
-            dense_min_level_into(&dense, true, &mut scratch)
+            dense_min_level(&dense, true)
         );
     }
 

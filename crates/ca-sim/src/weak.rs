@@ -287,6 +287,12 @@ impl WeakAdversary {
         self.template.clone()
     }
 
+    /// The edge-keyed good run itself, borrowed: a caller that already holds
+    /// a run re-shapes it with `clone_from` instead of allocating a new one.
+    pub fn template(&self) -> &EdgeRun {
+        &self.template
+    }
+
     /// Writes one trial into the edge-keyed `er`, resetting it to the good
     /// run first. Returns the number of messages destroyed.
     ///

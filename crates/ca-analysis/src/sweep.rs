@@ -21,6 +21,9 @@
 //! * **NA** ⟺ `max ML < rfire` — nobody fires;
 //! * **PA** otherwise.
 //!
+//! That rule is [`classify`]; `tests/sweep_execution_differential.rs` holds
+//! it equal to Protocol S actually executed on sampled runs, trial by trial.
+//!
 //! The whole `t`-curve shares the single trial (common random numbers): the
 //! frontier pass and the unit draw `u` are computed once, and each curve
 //! point just compares against its own `t · u`. That makes cross-`t`
@@ -47,6 +50,7 @@ use crate::report::Table;
 use ca_core::error::CaError;
 use ca_core::graph::{GraphStats, TopologySpec};
 use ca_core::level::{modified_level_extremes_into, FrontierPlan, LevelScratch};
+use ca_core::outcome::Outcome;
 use ca_core::run::EdgeRun;
 use ca_sim::weak::{LossModel, WeakAdversary};
 use ca_sim::{mix64, resolve_workers, BernoulliEstimate};
@@ -133,8 +137,8 @@ impl ScenarioSweepConfig {
         if self.trials == 0 {
             return Err(CaError::malformed("sweep needs at least one trial"));
         }
-        // Checked here, before any worker builds a `WeakAdversary` (whose
-        // constructor panics on a bad model).
+        // Checked here, so a bad model fails the sweep before any worker
+        // starts.
         for model in &self.adversaries {
             model.check()?;
         }
@@ -267,7 +271,7 @@ impl CellSetup {
         let graph = topology.build().map_err(CaError::from)?;
         let stats = GraphStats::of(&graph);
         let horizon = stats.diameter + horizon_slack;
-        let weak = WeakAdversary::new(&graph, horizon, *adversary);
+        let weak = WeakAdversary::try_new(&graph, horizon, *adversary)?;
         let plan = scratch.plan_for(weak.template(), true);
         Ok(CellSetup {
             stats,
@@ -275,6 +279,21 @@ impl CellSetup {
             weak,
             plan,
         })
+    }
+}
+
+/// Protocol S's outcome on a run with modified-level extremes
+/// `(ml_min, ml_max)` when the leader draws `rfire` (input-based validity,
+/// zero slack): by Lemma 6.4 process `i` fires iff `ML_i ≥ rfire`, so TA iff
+/// every count clears `rfire`, NA iff none does. Processes with `ML = 0`
+/// never fire, and `rfire > 0` covers them.
+pub fn classify(ml_min: u32, ml_max: u32, rfire: f64) -> Outcome {
+    if f64::from(ml_min) >= rfire {
+        Outcome::TotalAttack
+    } else if f64::from(ml_max) < rfire {
+        Outcome::NoAttack
+    } else {
+        Outcome::PartialAttack
     }
 }
 
@@ -314,14 +333,10 @@ impl Tally {
         self.ml_floor = self.ml_floor.min(ml_min);
         self.ml_ceiling = self.ml_ceiling.max(ml_max);
         for pt in self.points.iter_mut() {
-            // rfire uniform in (0, t]: TA iff every count clears it, NA iff
-            // none does (ML = 0 processes never fire; rfire > 0 covers them).
-            let rfire = f64::from(pt.t) * u;
-            let ta = f64::from(ml_min) >= rfire;
-            let na = f64::from(ml_max) < rfire;
-            pt.ta.record(ta);
-            pt.na.record(na);
-            pt.pa.record(!ta && !na);
+            let outcome = classify(ml_min, ml_max, f64::from(pt.t) * u);
+            pt.ta.record(outcome == Outcome::TotalAttack);
+            pt.na.record(outcome == Outcome::NoAttack);
+            pt.pa.record(outcome == Outcome::PartialAttack);
         }
     }
 

@@ -54,11 +54,21 @@ impl Coin {
         (rng.next_u64() >> 11) < self.threshold
     }
 
-    /// [`Coin::flip`] as a `0`/`1` word, for branch-free accumulation.
-    #[inline(always)]
-    pub fn flip_bit<R: RngCore + ?Sized>(self, rng: &mut R) -> u64 {
-        u64::from(self.flip(rng))
+    /// `⌈p · 2⁵³⌉`: a flip comes up `true` iff the drawn word's top 53
+    /// bits are below it.
+    pub fn threshold(self) -> u64 {
+        self.threshold
     }
+}
+
+/// The flip of an already drawn `word` against `threshold`, as a lane mask:
+/// all ones if `(word >> 11) < threshold`, zero otherwise. Both sides are
+/// below `2⁶³`, so the difference's sign bit is the comparison — no branch
+/// and no compare instruction, which lets the weak adversary's lane kernel
+/// blend two coins' thresholds by a mask and flip many lanes at once.
+#[inline(always)]
+pub(crate) fn below(word: u64, threshold: u64) -> u64 {
+    ((word >> 11).wrapping_sub(threshold) as i64 >> 63) as u64
 }
 
 #[cfg(test)]
@@ -94,10 +104,7 @@ mod tests {
                     want,
                     "p = {p:e}, x = {x}, low = {low:#x}"
                 );
-                assert_eq!(
-                    coin.flip_bit(&mut Words(vec![u].into_iter())),
-                    u64::from(want)
-                );
+                assert_eq!(below(u, coin.threshold()), 0u64.wrapping_sub(want.into()));
             }
         }
     }

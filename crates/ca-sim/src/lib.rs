@@ -26,6 +26,7 @@
 pub mod adaptive;
 pub mod chaos;
 pub mod coin;
+mod jump;
 pub mod monte_carlo;
 pub mod stats;
 pub mod strategy;

@@ -11,9 +11,10 @@
 //!
 //! # Draw-order contract
 //!
-//! Both sampling paths draw **identical coins in the identical order**:
-//! link-major over the directed edges sorted by `(from, to)`, rounds
-//! ascending within each link — which over a good base run is exactly the
+//! Both sampling paths draw **identical coins in the identical order**
+//! (the wide kernel below computes them out of order, at the same stream
+//! positions): link-major over the directed edges sorted by `(from, to)`,
+//! rounds ascending within each link — which over a good base run is exactly the
 //! canonical `(from, to, round)` slot order of [`Run::messages`]. For the
 //! [`LossModel::Iid`] model this is one `gen_bool(p)` per slot, byte-for-byte
 //! the [`crate::strategy::RandomDrop`] contract, so the bit-sliced engine's
@@ -34,28 +35,72 @@
 //!   `gen_bool(p)` bit for bit, because both `(u >> 11) · 2⁻⁵³` and
 //!   `p · 2⁵³` are exact in `f64` (the argument is in [`crate::coin`]), and
 //!   it draws the same single word.
-//! * **Branch-free Gilbert–Elliott.** The channel state is an index into
-//!   two-entry coin tables, `bad ^= leave[bad]`, so neither the loss coin
-//!   nor the transition coin branches on the outcome.
+//! * **Mask-form coins.** A flip is the sign of `(u >> 11) − threshold`,
+//!   spread to a whole-word mask, and Gilbert–Elliott's channel state is such
+//!   a mask too: each coin's threshold is blended from the good and bad
+//!   state's by that mask, so no coin branches or indexes on an outcome.
 //! * **Word-at-a-time writes.** Losses of each 64-edge column accumulate in
 //!   one loss word per round, and the edge-keyed path writes each column's
 //!   words whole ([`EdgeRun::set_column_losses`]); the dense path walks the
-//!   set loss bits into [`Run::remove_message`]. The per-column buffer is
-//!   `N` words on the stack (on the heap only past 256 rounds).
+//!   set loss bits into [`Run::remove_message`]. The loss buffer holds `N`
+//!   rows of one word per lane.
+//! * **Lanes.** The kernel source is generic over a lane count `L`: lane `k`
+//!   draws the 64-edge columns `⌊k·C/L⌋..⌊(k+1)·C/L⌋` of the `C` columns, all
+//!   lanes in step, so each coin operation is one operation on an `[u64; L]`
+//!   array. With one lane that is the whole stream drawn from the caller's
+//!   generator, in order.
 //!
-//! `tests/weak_kernel_differential.rs` checks the kernel per seed against a
-//! one-`gen_bool`-per-coin oracle on graphs with m in 500..=2048: the same
-//! `EdgeRun` word for word, the same dropped count, the same dense run and
-//! the same RNG stream position afterwards (the sweep's `rfire` draw comes
-//! next).
+//! # Why 16 lanes draw the same coins
+//!
+//! The lanes compute *the same words of the same stream*, only not in order:
+//!
+//! * **Linearity.** xoshiro256's state update uses only xor, shift and
+//!   rotate, so it is linear over `GF(2)`. The state `d` steps ahead is
+//!   `p_d(T)·s` for `p_d = xᵈ mod P`, where `P` is the generator's degree-256
+//!   characteristic polynomial (jump-ahead, Haramoto et al., 2008; the
+//!   `jump` module).
+//! * **Fixed words per link.** The contract draws a fixed number of words
+//!   per link whatever the outcomes: `N` for iid, `1 + 2N` for
+//!   Gilbert–Elliott. So column `c` starts `64·c` links into the stream,
+//!   at a position known before any coin is flipped, and lane `k` starts at
+//!   its first column's position and draws exactly the words the one-lane
+//!   loop would draw for those columns. A lane whose column is the partial
+//!   last one (or which has no column left at a step) draws past it; those
+//!   bits are masked off and never reach the run.
+//! * **The end jump.** One more jump, to `E·dpl` words (`E` edges, `dpl`
+//!   words per link), leaves the caller's [`StdRng`] exactly where the
+//!   one-lane loop leaves it, so the sweep's `rfire` draw that follows is
+//!   unchanged.
+//!
+//! Each adversary builds its 16 lane polynomials and the end polynomial on
+//! its first wide sample (the dense path never needs them); per trial, one
+//! 256-step walk of the trial's base state yields all 17 states.
+//!
+//! **Dispatch.** [`WeakAdversary::sample_edges_into`] runs the 16-lane
+//! instance compiled for AVX-512 (`avx512f` and `avx512vl`, detected at run
+//! time), where one instruction covers one state or coin word of 8 lanes.
+//! Every other host, and the dense [`RunSampler`] path (which draws through
+//! any [`Rng`]), runs the one-lane instance; narrower vector builds of the
+//! lanes measured no faster than one lane. Nothing else chooses between
+//! them, and both produce the same run and stream position.
+//!
+//! `tests/weak_kernel_differential.rs` checks every instance per seed
+//! against a one-`gen_bool`-per-coin oracle — on graphs with m in
+//! 500..=2048, and on graphs with fewer columns than lanes at horizons up
+//! to 257: the same `EdgeRun` word for word, the same dropped count, the
+//! same dense run and the same RNG stream position afterwards (the sweep's
+//! `rfire` draw comes next). The 16-lane instance built for any CPU runs
+//! there too, so hosts without AVX-512 check the lane split and the jumps.
 
-use crate::coin::Coin;
+use crate::coin::{below, Coin};
+use crate::jump::{LanePlan, Lanes, LANES};
 use crate::strategy::{RunSampler, SlicedSampler};
 use ca_core::error::CaError;
 use ca_core::graph::Graph;
 use ca_core::ids::Round;
-use ca_core::run::{EdgeRun, MsgSlot, Run};
-use rand::Rng;
+use ca_core::run::{EdgeRun, Run};
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -200,10 +245,6 @@ impl SlotCoins {
     }
 }
 
-/// Horizons up to this many rounds keep the sampling kernel's loss column
-/// on the stack; longer ones use one heap buffer per trial.
-const STACK_ROUNDS: usize = 256;
-
 /// The weak adversary over the good run of a graph: every input arrives,
 /// and each round's message on each directed link is destroyed according to
 /// a [`LossModel`].
@@ -217,6 +258,10 @@ pub struct WeakAdversary {
     /// on first use: the edge-keyed sweep path never reads it, and at
     /// m = 1000 it is megabytes where the template is kilobytes.
     base: OnceLock<Run>,
+    /// Where the wide kernel's lanes start in a trial's stream, built on
+    /// the first wide sample (the dense path never reads it).
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    lanes: OnceLock<LanePlan<LANES>>,
     /// The edge-keyed good run (the template `edge_template` hands out).
     template: EdgeRun,
     model: LossModel,
@@ -227,21 +272,31 @@ impl WeakAdversary {
     /// A weak adversary with the given loss model over the good run of
     /// `graph` with horizon `n`.
     ///
+    /// # Errors
+    ///
+    /// Returns [`CaError::MalformedConfig`] if [`LossModel::check`] rejects
+    /// the model.
+    pub fn try_new(graph: &Graph, n: u32, model: LossModel) -> Result<Self, CaError> {
+        model.check()?;
+        Ok(WeakAdversary {
+            base: OnceLock::new(),
+            lanes: OnceLock::new(),
+            template: EdgeRun::good(graph, n),
+            model,
+            coins: SlotCoins::of(&model),
+        })
+    }
+
+    /// A weak adversary with the given loss model over the good run of
+    /// `graph` with horizon `n`.
+    ///
     /// # Panics
     ///
     /// Panics if any model probability is outside `[0, 1]`, or if a
     /// Gilbert–Elliott model has both transition rates zero
-    /// ([`LossModel::check`] is the non-panicking test).
+    /// ([`WeakAdversary::try_new`] is the non-panicking form).
     pub fn new(graph: &Graph, n: u32, model: LossModel) -> Self {
-        if let Err(e) = model.check() {
-            panic!("{e}");
-        }
-        WeakAdversary {
-            base: OnceLock::new(),
-            template: EdgeRun::good(graph, n),
-            model,
-            coins: SlotCoins::of(&model),
-        }
+        Self::try_new(graph, n, model).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Shorthand for [`LossModel::Iid`].
@@ -297,71 +352,164 @@ impl WeakAdversary {
     /// run first. Returns the number of messages destroyed.
     ///
     /// Draws exactly the coins of [`RunSampler::sample_into`] in the same
-    /// order (see the module docs), so per-seed the two paths produce the
-    /// same run — `tests` pin `er.to_run() == run`.
-    pub fn sample_edges_into<R: Rng + ?Sized>(&self, er: &mut EdgeRun, rng: &mut R) -> u64 {
+    /// order and leaves `rng` where that path leaves it (see the module
+    /// docs), so per-seed the two paths produce the same run — `tests` pin
+    /// `er.to_run() == run`.
+    pub fn sample_edges_into(&self, er: &mut EdgeRun, rng: &mut StdRng) -> u64 {
         er.reset_good();
-        self.for_each_loss_column(rng, |column, losses| {
+        let emit = |column: usize, losses: &[u64]| er.set_column_losses(column, losses);
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+            // SAFETY: `sample_lanes_avx512` needs exactly the two CPU
+            // features just detected on the running CPU.
+            return unsafe { self.sample_lanes_avx512(rng, emit) };
+        }
+        self.kernel(&mut OneLane(rng), emit)
+    }
+
+    /// [`WeakAdversary::sample_edges_into`] through the `L`-lane kernel
+    /// built for any CPU, whatever the host supports: lets tests pin lane
+    /// counts against each other and the one-lane kernel on every machine.
+    /// Builds its lane plan afresh on every call.
+    #[doc(hidden)]
+    pub fn sample_edges_portable<const L: usize>(&self, er: &mut EdgeRun, rng: &mut StdRng) -> u64 {
+        er.reset_good();
+        self.sample_lanes(&self.new_lane_plan::<L>(), rng, |column, losses| {
             er.set_column_losses(column, losses);
         })
     }
 
-    /// The sampling kernel both paths share: draws the trial's coins in the
-    /// link-major contract order and hands over each 64-edge column's
-    /// losses as one word per round — bit `b` of `losses[r - 1]` set means
-    /// edge `64·column + b` loses its round-`r` message. Returns the number
-    /// of messages destroyed.
-    fn for_each_loss_column<R: Rng + ?Sized>(
+    /// The [`LANES`]-lane kernel compiled for AVX-512, where each state or
+    /// coin operation covers 8 lanes in one instruction.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vl")]
+    fn sample_lanes_avx512(&self, rng: &mut StdRng, emit: impl FnMut(usize, &[u64])) -> u64 {
+        let plan = self.lanes.get_or_init(|| self.new_lane_plan());
+        self.sample_lanes(plan, rng, emit)
+    }
+
+    /// Runs the `L`-lane kernel on the trial whose stream starts at `rng`:
+    /// starts every lane at its columns' stream position, then moves `rng`
+    /// to the end of the trial's coins.
+    #[inline(always)]
+    fn sample_lanes<const L: usize>(
         &self,
-        rng: &mut R,
+        plan: &LanePlan<L>,
+        rng: &mut StdRng,
+        emit: impl FnMut(usize, &[u64]),
+    ) -> u64 {
+        let (mut lanes, end) = plan.starts(rng.state());
+        let dropped = self.kernel(&mut lanes, emit);
+        *rng = StdRng::from_state(end);
+        dropped
+    }
+
+    /// The lane plan: 64-link columns are the blocks, and the trial's coins
+    /// end after the last link's words.
+    fn new_lane_plan<const L: usize>(&self) -> LanePlan<L> {
+        let edges = self.template.directed_edge_count();
+        let link_words = match self.coins {
+            SlotCoins::Iid(_) => u64::from(self.template.horizon()),
+            SlotCoins::GilbertElliott { .. } => 1 + 2 * u64::from(self.template.horizon()),
+        };
+        LanePlan::new(
+            edges.div_ceil(64),
+            64 * link_words,
+            edges as u64 * link_words,
+        )
+    }
+
+    /// The sampling kernel, one source for every lane count. Lane `k` of
+    /// `words` draws the coins of the 64-link columns
+    /// `⌊k·C/L⌋..⌊(k+1)·C/L⌋` (of `C`) in contract order, and hands over
+    /// each column's losses as one word per round: bit `b` of
+    /// `losses[r - 1]` set means edge `64·column + b` loses its round-`r`
+    /// message. Returns the number of messages destroyed.
+    ///
+    /// With one lane that is the whole stream, drawn link by link as the
+    /// contract reads it. With more, `words` must start each lane at its
+    /// first column's stream position, and lanes draw whole 64-link columns
+    /// in step: bits past the last edge are masked off.
+    #[inline(always)]
+    fn kernel<const L: usize>(
+        &self,
+        words: &mut impl LaneWords<L>,
         mut emit: impl FnMut(usize, &[u64]),
     ) -> u64 {
         let n = self.template.horizon() as usize;
         let edges = self.template.directed_edge_count();
-        let mut stack = [0u64; STACK_ROUNDS];
-        let mut heap = Vec::new();
-        let losses = if n <= STACK_ROUNDS {
-            &mut stack[..n]
-        } else {
-            heap.resize(n, 0);
-            &mut heap[..]
+        let columns = edges.div_ceil(64);
+        let lane_columns = |k: usize| {
+            LanePlan::<L>::first_block(k, columns)..LanePlan::<L>::first_block(k + 1, columns)
         };
+        // Lane `k`'s column at `step`, with its width, if it has one.
+        let column_at = |k: usize, step: usize| {
+            let column = lane_columns(k).start + step;
+            (column < lane_columns(k).end).then(|| (column, (edges - 64 * column).min(64)))
+        };
+        let mut rows = vec![[0u64; L]; n];
+        let mut losses = vec![0u64; n];
         let mut dropped = 0;
-        for column in 0..edges.div_ceil(64) {
-            losses.fill(0);
-            let width = (edges - 64 * column).min(64);
+        for step in 0..columns.div_ceil(L) {
+            let width = (0..L)
+                .filter_map(|k| column_at(k, step))
+                .map(|(_, width)| width)
+                .max()
+                .unwrap_or(0);
+            rows.fill([0; L]);
             match self.coins {
                 SlotCoins::Iid(coin) => {
+                    let t = coin.threshold();
                     for bit in 0..width {
-                        for loss in losses.iter_mut() {
-                            *loss |= coin.flip_bit(rng) << bit;
+                        for row in rows.iter_mut() {
+                            let u = words.next_words();
+                            for (loss, u) in row.iter_mut().zip(u) {
+                                *loss |= below(u, t) & 1 << bit;
+                            }
                         }
                     }
                 }
                 SlotCoins::GilbertElliott { start, loss, leave } => {
+                    let [lose_good, lose_bad] = loss.map(Coin::threshold);
+                    let [leave_good, leave_bad] = leave.map(Coin::threshold);
                     for bit in 0..width {
-                        // Per link: the stationarity coin, then per round a
-                        // loss coin and a transition coin.
-                        let mut bad = start.flip_bit(rng) as usize;
-                        for word in losses.iter_mut() {
-                            *word |= loss[bad].flip_bit(rng) << bit;
-                            bad ^= leave[bad].flip_bit(rng) as usize;
+                        // Per link: the stationarity coin (all ones = bad),
+                        // then per round a loss coin and a transition coin,
+                        // each threshold picked by the channel state's mask.
+                        let mut bad = words.next_words().map(|u| below(u, start.threshold()));
+                        for row in rows.iter_mut() {
+                            let (u, v) = (words.next_words(), words.next_words());
+                            for k in 0..L {
+                                let lose = lose_good ^ (lose_good ^ lose_bad) & bad[k];
+                                let leave = leave_good ^ (leave_good ^ leave_bad) & bad[k];
+                                row[k] |= below(u[k], lose) & 1 << bit;
+                                bad[k] ^= below(v[k], leave);
+                            }
                         }
                     }
                 }
             }
-            dropped += losses
-                .iter()
-                .map(|w| u64::from(w.count_ones()))
-                .sum::<u64>();
-            emit(column, losses);
+            for k in 0..L {
+                let Some((column, width)) = column_at(k, step) else {
+                    continue;
+                };
+                let mask = u64::MAX >> (64 - width);
+                for (loss, row) in losses.iter_mut().zip(&rows) {
+                    *loss = row[k] & mask;
+                }
+                dropped += losses
+                    .iter()
+                    .map(|w| u64::from(w.count_ones()))
+                    .sum::<u64>();
+                emit(column, &losses);
+            }
         }
         dropped
     }
 
     fn drop_into<R: Rng + ?Sized>(&self, run: &mut Run, rng: &mut R) -> u64 {
         let edges = self.template.directed_edges();
-        self.for_each_loss_column(rng, |column, losses| {
+        self.kernel(&mut OneLane(rng), |column, losses| {
             for (r, &loss) in (1..).zip(losses) {
                 let mut bits = loss;
                 while bits != 0 {
@@ -371,6 +519,29 @@ impl WeakAdversary {
                 }
             }
         })
+    }
+}
+
+/// A word source for the sampling kernel: each draw is the next word of
+/// each of `L` streams.
+trait LaneWords<const L: usize> {
+    fn next_words(&mut self) -> [u64; L];
+}
+
+/// The one-lane source: the caller's generator itself.
+struct OneLane<'a, R: ?Sized>(&'a mut R);
+
+impl<R: RngCore + ?Sized> LaneWords<1> for OneLane<'_, R> {
+    #[inline(always)]
+    fn next_words(&mut self) -> [u64; 1] {
+        [self.0.next_u64()]
+    }
+}
+
+impl<const L: usize> LaneWords<L> for Lanes<L> {
+    #[inline(always)]
+    fn next_words(&mut self) -> [u64; L] {
+        self.next()
     }
 }
 
@@ -419,12 +590,6 @@ impl RunSampler for WeakAdversary {
             LossModel::GilbertElliott { .. } => None,
         }
     }
-}
-
-/// The canonical slots of the good run over `graph` — handy for tests that
-/// want to cross-check the draw order.
-pub fn good_slots(graph: &Graph, n: u32) -> Vec<MsgSlot> {
-    Run::good(graph, n).messages().collect()
 }
 
 #[cfg(test)]

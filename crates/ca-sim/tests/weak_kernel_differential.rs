@@ -1,14 +1,16 @@
 //! Differential property test: the weak adversary's word-at-a-time sampling
 //! kernel against the `gen_bool` slot loop it replaced, on big generated
-//! graphs.
+//! graphs and on graphs with fewer 64-link columns than the kernel has lanes.
 //!
 //! The oracle below is that loop, kept verbatim in test code: one
 //! `gen_bool` per coin in the link-major contract order (DESIGN.md §11),
-//! each lost slot written through `EdgeRun::destroy`. The kernel must agree
-//! with it on every seed — the same `EdgeRun` word for word (tail bits
-//! included), the same dropped count, the same dense `sample_into` run, and
-//! the same RNG stream position afterwards, which the sweep's `rfire` draw
-//! depends on.
+//! each lost slot written through `EdgeRun::destroy`. Every kernel instance
+//! must agree with it on every seed — the same `EdgeRun` word for word (tail
+//! bits included), the same dropped count, the same dense `sample_into` run,
+//! and the same RNG stream position afterwards, which the sweep's `rfire`
+//! draw depends on. The instances are the one `sample_edges_into` dispatches
+//! to on this host, and the 16-lane and one-lane jump-ahead instances built
+//! for any CPU, so hosts without AVX-512 check the lane split too.
 
 use ca_core::graph::{generators, Graph, TopologySpec};
 use ca_core::ids::Round;
@@ -61,7 +63,20 @@ fn oracle_sample_edges_into(weak: &WeakAdversary, er: &mut EdgeRun, rng: &mut St
     flipped
 }
 
-/// Asserts the kernel equals the oracle on `graph` at horizon `n` for each
+/// An edge-keyed sampling entry point.
+type Sampler = fn(&WeakAdversary, &mut EdgeRun, &mut StdRng) -> u64;
+
+/// Every kernel instance the oracle checks, by name.
+const INSTANCES: [(&str, Sampler); 3] = [
+    ("dispatched kernel", WeakAdversary::sample_edges_into),
+    (
+        "portable 16 lanes",
+        WeakAdversary::sample_edges_portable::<16>,
+    ),
+    ("portable 1 lane", WeakAdversary::sample_edges_portable::<1>),
+];
+
+/// Asserts every kernel instance equals the oracle on `graph` at horizon `n` for each
 /// seed, on both the edge-keyed and the dense path.
 fn assert_kernel_matches_oracle(graph: &Graph, n: u32, model: LossModel, seeds: &[u64]) {
     let weak = WeakAdversary::new(graph, n, model);
@@ -76,17 +91,20 @@ fn assert_kernel_matches_oracle(graph: &Graph, n: u32, model: LossModel, seeds: 
             graph.len(),
             oracle_er.directed_edge_count()
         );
-        let mut kernel_rng = StdRng::seed_from_u64(seed);
         let mut oracle_rng = StdRng::seed_from_u64(seed);
-        let dropped = weak.sample_edges_into(&mut kernel_er, &mut kernel_rng);
         let want = oracle_sample_edges_into(&weak, &mut oracle_er, &mut oracle_rng);
-        // `EdgeRun` equality compares every word, so this pins the masked
-        // tail bits of the last column too.
-        assert_eq!(kernel_er, oracle_er, "edge run, {ctx}");
-        assert_eq!(dropped, want, "dropped count, {ctx}");
-        assert_eq!(kernel_er.message_count() as u64, good - dropped, "{ctx}");
         let next = oracle_rng.next_u64();
-        assert_eq!(kernel_rng.next_u64(), next, "stream position, {ctx}");
+        for (instance, sample) in INSTANCES {
+            let mut kernel_rng = StdRng::seed_from_u64(seed);
+            let dropped = sample(&weak, &mut kernel_er, &mut kernel_rng);
+            // `EdgeRun` equality compares every word, so this pins the
+            // masked tail bits of the last column too.
+            assert_eq!(kernel_er, oracle_er, "edge run, {instance}, {ctx}");
+            assert_eq!(dropped, want, "dropped count, {instance}, {ctx}");
+            assert_eq!(kernel_er.message_count() as u64, good - dropped, "{ctx}");
+            let position = kernel_rng.next_u64();
+            assert_eq!(position, next, "stream position, {instance}, {ctx}");
+        }
 
         let mut dense_rng = StdRng::seed_from_u64(seed);
         weak.sample_into(&mut dense, &mut dense_rng);
@@ -181,9 +199,9 @@ fn kernel_equals_the_oracle_with_and_without_a_partial_last_column() {
 }
 
 #[test]
-fn kernel_equals_the_oracle_past_the_stack_buffer() {
-    // Horizons beyond the kernel's on-stack loss column take its heap
-    // buffer; the draws must not change.
+fn kernel_equals_the_oracle_at_long_horizons() {
+    // Horizons past 256 rounds: long lane columns, and many words per link
+    // for the jump-ahead to skip.
     let graph = Graph::ring(70).expect("ring");
     for model in [
         LossModel::Iid { p: 0.3 },
@@ -195,5 +213,33 @@ fn kernel_equals_the_oracle_past_the_stack_buffer() {
         },
     ] {
         assert_kernel_matches_oracle(&graph, 300, model, &[5, 6]);
+    }
+}
+
+#[test]
+fn lanes_equal_the_oracle_with_fewer_columns_than_lanes() {
+    // K2, ring5 and the 4x6 grid have one or two 64-link columns, so most
+    // of the 16 lanes own none; ring32 has exactly one whole column.
+    let graphs = [
+        (Graph::complete(2).expect("k2"), 2),
+        (Graph::ring(5).expect("ring5"), 10),
+        (Graph::grid(4, 6).expect("grid"), 76),
+        (Graph::ring(32).expect("ring32"), 64),
+    ];
+    for (graph, edges) in &graphs {
+        assert_eq!(graph.edge_count() * 2, *edges);
+        for n in [1, 2, 255, 256, 257] {
+            for model in [
+                LossModel::Iid { p: 0.3 },
+                LossModel::GilbertElliott {
+                    loss_good: 0.1,
+                    loss_bad: 0.8,
+                    good_to_bad: 0.2,
+                    bad_to_good: 0.3,
+                },
+            ] {
+                assert_kernel_matches_oracle(graph, n, model, &[u64::from(n), 7]);
+            }
+        }
     }
 }

@@ -190,6 +190,26 @@ pub mod rngs {
         }
     }
 
+    impl StdRng {
+        /// The raw xoshiro256++ state `[s0, s1, s2, s3]`.
+        ///
+        /// With [`StdRng::from_state`] this lets a caller step the state's
+        /// linear recurrence itself (jump-ahead, several streams at once) and
+        /// hand the position back; it is not part of upstream `rand`'s API.
+        pub fn state(&self) -> [u64; 4] {
+            self.s
+        }
+
+        /// The generator at raw state `s`, continuing exactly as the
+        /// generator whose [`StdRng::state`] returned `s` would.
+        ///
+        /// The all-zero state is xoshiro's one fixed point (it emits zeros
+        /// forever); seeding never produces it.
+        pub fn from_state(s: [u64; 4]) -> Self {
+            StdRng { s }
+        }
+    }
+
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
             // xoshiro256++ (Blackman & Vigna).
@@ -212,7 +232,7 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -256,6 +276,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let dynrng: &mut StdRng = &mut rng;
         let _ = draw(dynrng);
+    }
+
+    #[test]
+    fn from_state_resumes_the_stream() {
+        let mut a = StdRng::seed_from_u64(5);
+        for _ in 0..3 {
+            a.next_u64();
+        }
+        let mut b = StdRng::from_state(a.state());
+        assert_eq!(b, a);
+        let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
+        let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
+        assert_eq!(xs, ys);
     }
 
     #[test]
